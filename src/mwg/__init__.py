@@ -93,6 +93,7 @@ from .solvers import (
     sufficient_credit,
     threshold_shifted,
     verify_p1_certificate,
+    verify_p2_cover,
     verify_p2_spoiler,
 )
 

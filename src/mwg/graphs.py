@@ -523,7 +523,8 @@ def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[
             # Steps k..q form a closed walk at v with distinct interior.
             forward = list(reversed(path))
             cycle = forward[: q - (k - 1)]
-            assert sum(recs[r][2] for r in cycle) < 0
+            if sum(recs[r][2] for r in cycle) >= 0:
+                raise AssertionError("cycle cut from an improving walk is not negative")
             return tuple(recs[r][3] for r in cycle)
         seen[v] = k - 1
     raise AssertionError("n-edge walk without repeated vertex")

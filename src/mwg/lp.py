@@ -217,7 +217,8 @@ class _Simplex:
     def _pivot(self, p: int, q: int) -> None:
         T = self.T
         piv = T[p][q]
-        assert piv > 0
+        if piv <= 0:
+            raise AssertionError(f"pivot element {piv} is not positive")
         rowp = T[p]
         D = self.D
         for row in (*T, self.z1, self.z2):
@@ -312,8 +313,8 @@ class _Simplex:
         if self.infeasible_early:
             return LpOutcome("infeasible")
         self._build()
-        status = self._run(self.z1, allow_artificial=True)
-        assert status == "optimal", "phase-1 objective is bounded below by zero"
+        if self._run(self.z1, allow_artificial=True) != "optimal":
+            raise AssertionError("phase 1 unbounded, yet its objective is bounded below by zero")
         if self.z1[-1] != 0:  # -(artificial sum) < 0
             return LpOutcome("infeasible")
         self._drive_out_artificials()

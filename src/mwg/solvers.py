@@ -6,12 +6,15 @@ mean-payoff threshold counterpart for finite-memory strategies, and the
 variants where Player 1 is restricted to memoryless strategies.
 
 The master procedure rests on two facts. First, if Player 2 can spoil at
-all, a memoryless strategy suffices, so enumerating Player 2's memoryless
+all, a memoryless strategy suffices, so covering Player 2's memoryless
 strategies is exhaustive. Second, with Player 2 fixed the game is a
 one-player graph, and Player 1 survives from some credit exactly when a
 circuit with componentwise-nonnegative total weight is reachable from the
-initial state. A No answer therefore comes with a spoiling strategy and a
-Yes answer with one witness circuit per enumerated strategy.
+initial state. A No answer therefore comes with a spoiling strategy. A
+Yes answer comes with a cover: lassos (a stem from the initial state and
+a nonnegative circuit), each paired with the cube of Player-2 choices it
+depends on, such that every Player-2 memoryless strategy agrees with
+some cube; `verify_p2_cover` checks one.
 """
 
 from __future__ import annotations
@@ -19,12 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import Iterator, Optional, Sequence, Union
+from math import lcm, prod
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import graphs
-from .errors import DimensionError, InvalidGameError, StrategyError
-from .graphs import Circuit, GraphEdge, MultiGraph, negative_cycle_in_dimension
+from .errors import DimensionError, InvalidGameError, StrategyError, WalkError
+from .graphs import (
+    Circuit,
+    GraphEdge,
+    MultiGraph,
+    circuit_weight,
+    negative_cycle_in_dimension,
+    validate_circuit,
+)
 from .model import (
     Edge,
     GameStructure,
@@ -41,22 +51,70 @@ from .model import (
     validate_game,
 )
 
+# Player-2 choices at some of Player 2's states: state id -> edge id. A
+# cube contains every Player-2 memoryless strategy that agrees with it.
+Cube = Mapping[str, str]
+
+
+class CoverWitnesses:
+    """A cover expanded on demand into one (strategy, circuit) pair per
+    Player-2 memoryless strategy, in enumeration order; each strategy is
+    paired with the circuit of the first cube that contains it.
+
+    `choices` lists each Player-2 state with its edge ids. A cover holds
+    one lasso per cube, the expansion one entry per strategy, so the
+    pairs are built while iterating and never stored.
+    """
+
+    def __init__(
+        self, choices: Sequence[tuple[str, Sequence[str]]], cover: Sequence[tuple[Cube, Lasso]]
+    ):
+        self._choices = choices
+        self._cover = cover
+
+    def __len__(self) -> int:
+        return prod(len(edges) for _, edges in self._choices)
+
+    def __iter__(self) -> Iterator[tuple[MemorylessStrategy, Circuit]]:
+        states = [s for s, _ in self._choices]
+        circuits = [(cube, Circuit.from_walk(lasso.cycle)) for cube, lasso in self._cover]
+        for combo in product(*(edges for _, edges in self._choices)):
+            choice = dict(zip(states, combo))
+            for cube, circuit in circuits:
+                if all(choice.get(s) == e for s, e in cube.items()):
+                    yield MemorylessStrategy(2, choice), circuit
+                    break
+            else:
+                raise StrategyError(f"no cube of the cover contains the strategy {choice}")
+
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of an unknown-initial-credit (or threshold) decision.
 
-    On Yes, `witnesses` pairs every enumerated Player-2 memoryless
-    strategy with a reachable nonnegative circuit of the fixed graph, and
-    `credit` is a suggested (not minimal) sufficient credit vector. On No,
-    `spoiler` is a Player-2 memoryless strategy whose fixed graph has no
-    such circuit.
+    On Yes, `cover` is a tuple of (cube, lasso) pairs: each lasso walks
+    only Player-1 edges and its cube's edges, and its circuit has
+    nonnegative weight in every dimension, so every Player-2 memoryless
+    strategy that agrees with the cube leaves Player 1 that circuit; the
+    cubes together contain every such strategy (`verify_p2_cover`).
+    `choices` lists each Player-2 state with its edge ids in enumeration
+    order, and `witnesses` expands the cover lazily into one (strategy,
+    circuit) pair per strategy. `credit` is a suggested credit vector;
+    from `solve_unknown_credit` it is the heuristic n*W bound, neither
+    proven nor minimal. On No, `spoiler` is the first Player-2 memoryless
+    strategy, in enumeration order, whose fixed graph has no reachable
+    nonnegative circuit.
     """
 
     answer: bool
-    witnesses: Optional[tuple[tuple[MemorylessStrategy, Circuit], ...]] = None
+    cover: Optional[tuple[tuple[Cube, Lasso], ...]] = None
     credit: Optional[WeightVector] = None
     spoiler: Optional[MemorylessStrategy] = None
+    choices: tuple[tuple[str, tuple[str, ...]], ...] = ()
+
+    @property
+    def witnesses(self) -> Optional[CoverWitnesses]:
+        return None if self.cover is None else CoverWitnesses(self.choices, self.cover)
 
 
 @dataclass(frozen=True)
@@ -125,23 +183,89 @@ def _reachable_states(g: GameStructure, source: str) -> set[str]:
 
 def _suggested_credit(g: GameStructure) -> WeightVector:
     """Heuristic credit suggestion: the classical n*W bound instantiated
-    with the reachable state count. Advisory; the witnesses, not this
-    vector, are the verifiable part of a Yes verdict."""
+    with the reachable state count. Advisory; the cover, not this
+    vector, is the verifiable part of a Yes verdict."""
     n = len(_reachable_states(g, g.init))
     w = g.max_abs_weight
     return tuple(n * w for _ in range(g.dimension))
+
+
+def _first_uncovered(
+    sizes: Sequence[int],
+    cubes: Iterable[tuple[tuple[int, int], ...]],
+    settle: Callable[[list[int]], Optional[tuple[tuple[int, int], ...]]],
+) -> Optional[list[int]]:
+    """First choice vector, in lexicographic order, that no cube contains.
+
+    A choice vector picks an option index below sizes[i] at each
+    position i; a cube is a tuple of (position, option index) pairs in
+    position order and contains every vector that agrees with it there.
+    The walk is depth first and prunes a partial vector as soon as it
+    contains a cube. At each full vector that no cube contains, `settle`
+    either returns a cube containing it, which is learnt, and the walk
+    jumps back to that cube's deepest position; or returns None, and the
+    walk stops at that vector. None means the cubes contain every vector.
+    """
+    m = len(sizes)
+    # Cubes by deepest position and the option there; each entry keeps
+    # the cube's other pairs. A cube is tested only once its deepest
+    # position is assigned, i.e. when it can first be contained.
+    by_last: list[dict[int, list[tuple[tuple[int, int], ...]]]] = [{} for _ in range(m)]
+
+    def learn(cube: tuple[tuple[int, int], ...]) -> bool:
+        """Index the cube; False if it is empty, i.e. contains everything."""
+        if not cube:
+            return False
+        j, o = cube[-1]
+        by_last[j].setdefault(o, []).append(cube[:-1])
+        return True
+
+    if not all(learn(c) for c in cubes):
+        return None
+    pick = [0] * m
+    d = 0
+    while True:
+        if d < m:
+            if not any(all(pick[i] == o for i, o in rest) for rest in by_last[d].get(pick[d], ())):
+                d += 1
+                if d < m:
+                    pick[d] = 0
+                continue
+        else:
+            cube = settle(pick)
+            if cube is None:
+                return pick
+            if not learn(cube):
+                return None
+            d = cube[-1][0]
+        # Every vector extending pick[: d + 1] is contained: move on to
+        # the next partial vector in lexicographic order.
+        while pick[d] + 1 == sizes[d]:
+            d -= 1
+            if d < 0:
+                return None
+        pick[d] += 1
 
 
 def solve_unknown_credit(g: GameStructure) -> Verdict:
     """Decide whether Player 1 wins the energy objective for some
     nonnegative initial credit.
 
-    Enumerates Player-2 memoryless strategies; each fixed graph is
-    searched for a reachable circuit with nonnegative weight in every
-    dimension. The search result is cached by the shape of the fixed
-    graph after chain contraction and removal of duplicate parallel
-    edges, which collapses the bulk of the enumeration for structured
-    games (all strategies picking the same literal set, for instance).
+    Searches Player-2 memoryless strategies depth first, over Player-2
+    states in enumeration order. The fixed graph of the first strategy
+    not yet covered is searched for a reachable circuit with nonnegative
+    weight in every dimension; the search result is cached by the shape
+    of the fixed graph after chain contraction and removal of duplicate
+    parallel edges. A circuit found, entered by a shortest stem from the
+    initial state, is a lasso that depends on Player 2's choices only at
+    the Player-2 states it leaves from: every strategy that agrees there
+    (the cube) contains it. So one circuit search settles the whole
+    cube, and the search jumps back past it and skips every partial
+    strategy a learnt cube contains. On the 3SAT encodings a cube is
+    typically two clauses picking clashing literals, so the search runs
+    like DPLL on the formula instead of through all 3^clauses
+    strategies. Skipped strategies all contain a witness, so a spoiler,
+    if any, is the first in enumeration order.
     """
     _require_valid(g)
     k = g.dimension
@@ -149,7 +273,8 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
     sindex = {sid: i for i, sid in enumerate(state_ids)}
     init = sindex[g.init]
     p2_states, options = _choice_space(g, 2)
-    # Records are prebuilt per edge so the per-strategy loop only
+    position = {sindex[s]: i for i, s in enumerate(p2_states)}
+    # Records are prebuilt per edge so the per-strategy work only
     # concatenates lists: (src index, dst index, weight, (edge id,)).
     fixed_recs = [
         (sindex[e.src], sindex[e.dst], e.weight, (e.id,))
@@ -161,21 +286,22 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
         e.id: (sindex[e.src], sindex[e.dst], e.weight, (e.id,)) for e in g.edges
     }
     cache: dict[tuple, Optional[list[int]]] = {}
-    witnesses: list[tuple[MemorylessStrategy, Circuit]] = []
-    for combo in product(*options):
-        recs = fixed_recs + [rec_of_edge[eid] for eid in combo]
-        succ: dict[int, list[int]] = {}
-        for src, dst, _, _ in recs:
-            succ.setdefault(src, []).append(dst)
-        seen = {init}
+    cover: list[tuple[Cube, Lasso]] = []
+
+    def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
+        recs = fixed_recs + [rec_of_edge[opts[i]] for opts, i in zip(options, pick)]
+        succ: dict[int, list] = {}
+        for rec in recs:
+            succ.setdefault(rec[0], []).append(rec)
+        # Breadth first, so that parent edges spell shortest stems.
+        parent = {init: None}
         queue = [init]
-        while queue:
-            v = queue.pop()
-            for w in succ.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        live = [r for r in recs if r[0] in seen]
+        for v in queue:
+            for rec in succ.get(v, ()):
+                if rec[1] not in parent:
+                    parent[rec[1]] = rec
+                    queue.append(rec[1])
+        live = [r for r in recs if r[0] in parent]
         # Duplicate parallel edges are interchangeable for circuit
         # existence; keep one representative each and remember its ids.
         rep: dict[tuple, tuple] = {}
@@ -192,12 +318,30 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
                 [(t[0], t[1], t[2], (i,)) for i, (t, _) in enumerate(items)], k, "nonnegative"
             )
             cache[shape] = abstract
-        strategy = MemorylessStrategy(2, dict(zip(p2_states, combo)))
         if abstract is None:
-            return Verdict(False, spoiler=strategy)
+            return None
         walk = [eid for i in abstract for eid in items[i][1]]
-        witnesses.append((strategy, Circuit.from_walk(walk)))
-    return Verdict(True, witnesses=tuple(witnesses), credit=_suggested_credit(g))
+        # Enter the circuit at its state nearest to the initial state.
+        rank = {v: i for i, v in enumerate(queue)}
+        cut = min(range(len(walk)), key=lambda i: rank[rec_of_edge[walk[i]][0]])
+        stem = []
+        rec = parent[rec_of_edge[walk[cut]][0]]
+        while rec is not None:
+            stem.append(rec[3][0])
+            rec = parent[rec[0]]
+        lasso = Lasso(tuple(reversed(stem)), tuple(walk[cut:] + walk[:cut]))
+        srcs = {rec_of_edge[eid][0] for eid in stem + walk}
+        used = sorted(position[v] for v in srcs if v in position)
+        cover.append(({p2_states[i]: options[i][pick[i]] for i in used}, lasso))
+        return tuple((i, pick[i]) for i in used)
+
+    pick = _first_uncovered([len(o) for o in options], (), settle)
+    if pick is not None:
+        spoiler = {s: opts[i] for s, opts, i in zip(p2_states, options, pick)}
+        return Verdict(False, spoiler=MemorylessStrategy(2, spoiler))
+    return Verdict(
+        True, cover=tuple(cover), credit=_suggested_credit(g), choices=tuple(zip(p2_states, options))
+    )
 
 
 def _lasso_strategy(g: GameStructure, lasso: Lasso) -> MooreStrategy:
@@ -262,8 +406,7 @@ def solve_one_player_energy(g: GameStructure) -> Verdict:
     start = g.edge_by_id[circuit.edges[0]].src
     lasso = Lasso(tuple(_stem_to(g, start)), circuit.edges)
     p = product_with_strategy(g, _lasso_strategy(g, lasso))
-    witness = ((MemorylessStrategy(2, {}), circuit),)
-    return Verdict(True, witnesses=witness, credit=sufficient_credit(p))
+    return Verdict(True, cover=(({}, lasso),), credit=sufficient_credit(p))
 
 
 def _as_fractions(v: Sequence, k: int) -> list[Fraction]:
@@ -345,6 +488,47 @@ def verify_p2_spoiler(g: GameStructure, s: MemorylessStrategy) -> bool:
         raise StrategyError("spoiler must belong to Player 2")
     check_strategy(g, s)
     return graphs.nonnegative_circuit(_strategy_subgraph(g, s), g.init) is None
+
+
+def verify_p2_cover(g: GameStructure, cover: Iterable[tuple[Cube, Lasso]]) -> bool:
+    """Accept a Yes certificate: (cube, lasso) pairs such that
+    - each cube maps Player-2 states to outgoing edges of theirs;
+    - each lasso's stem starts at the initial state and leads to its
+      circuit, and stem and circuit walk only Player-1 edges and the
+      cube's edges;
+    - each circuit is closed and nonnegative in every dimension;
+    - the cubes together contain every Player-2 memoryless strategy.
+    Coverage is decided by a depth-first walk over Player-2 states that
+    prunes each partial strategy a cube contains, without listing all
+    strategies. Acceptance means every Player-2 memoryless strategy
+    leaves Player 1 a reachable nonnegative circuit, so some initial
+    credit wins for Player 1."""
+    states, options = _choice_space(g, 2)
+    position = {s: i for i, s in enumerate(states)}
+    whole = as_multigraph(g)
+    p1_edges = {e.id for e in g.edges if g.owner(e.src) == 1}
+    cubes = []
+    for cube, lasso in cover:
+        if any(s not in position or e not in options[position[s]] for s, e in cube.items()):
+            return False
+        walk = lasso.stem + lasso.cycle
+        if not lasso.cycle or not (p1_edges | set(cube.values())).issuperset(walk):
+            return False
+        at = g.init
+        for eid in walk:
+            e = g.edge_by_id[eid]
+            if e.src != at:
+                return False
+            at = e.dst
+        circuit = Circuit.from_walk(lasso.cycle)
+        try:
+            validate_circuit(whole, circuit)
+        except WalkError:
+            return False
+        if any(c < 0 for c in circuit_weight(whole, circuit)):
+            return False
+        cubes.append(tuple(sorted((position[s], options[position[s]].index(e)) for s, e in cube.items())))
+    return _first_uncovered([len(o) for o in options], cubes, lambda pick: None) is None
 
 
 def _accepts_all_cycles(g: GameStructure, chosen: dict[str, str]) -> bool:

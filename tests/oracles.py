@@ -17,8 +17,11 @@ from mwg import (
     GameStructure,
     GraphEdge,
     KnapsackInstance,
+    MemorylessStrategy,
     MultiGraph,
     State,
+    enumerate_p2_memoryless,
+    verify_p2_spoiler,
 )
 
 
@@ -39,6 +42,16 @@ def knapsack_brute_force(inst: KnapsackInstance) -> Optional[frozenset[int]]:
         subset = frozenset(j + 1 for j in range(n) if bits >> j & 1)
         if inst.feasible(subset):
             return subset
+    return None
+
+
+def first_p2_spoiler(g: GameStructure) -> Optional[MemorylessStrategy]:
+    """First Player-2 memoryless strategy, in enumeration order, that the
+    spoiler checker accepts, or None: the flat enumeration, one circuit
+    search per strategy, with no cubes."""
+    for s in enumerate_p2_memoryless(g):
+        if verify_p2_spoiler(g, s):
+            return s
     return None
 
 

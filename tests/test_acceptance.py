@@ -21,6 +21,7 @@ from mwg import (
     solve_memoryless_p1_energy,
     solve_unknown_credit,
     validate_circuit,
+    verify_p2_cover,
     verify_p2_spoiler,
     write_certificate,
     write_game,
@@ -78,9 +79,12 @@ def test_criterion_3_3sat_two_player_equivalence(capsys):
     rng = random.Random(1003)
     for _ in range(200):
         f = rand_cnf(rng, max_vars=4, max_clauses=8)
-        verdict = solve_unknown_credit(encode_3sat_two_player(f))
+        g = encode_3sat_two_player(f)
+        verdict = solve_unknown_credit(g)
         satisfiable = truth_table_satisfiable(f) is not None
         assert verdict.answer == (not satisfiable), f
+        if verdict.answer:
+            assert verify_p2_cover(g, verdict.cover), f
     with capsys.disabled():
         report(3, "200 3-CNFs, two-player", t0, 120.0)
 
@@ -140,6 +144,7 @@ def test_criterion_7_certificate_closure(capsys, tmp_path):
         g = rand_game(rng, max_states=5, max_edges=8, max_k=3)
         v = solve_unknown_credit(g)
         if v.answer:
+            assert verify_p2_cover(g, v.cover), g
             for lam2, circuit in v.witnesses:
                 sub = reachable_subgraph(fixed_graph(g, lam2), g.init)
                 validate_circuit(sub, circuit)

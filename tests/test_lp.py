@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -237,3 +239,12 @@ def test_maximum_dominates_lattice_points():
             continue
         assert out.status == "feasible"
         assert out.objective_value >= best_lattice
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so no guard may be one.
+    package = Path(__file__).resolve().parent.parent / "src" / "mwg"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statement at line(s) {lines}"

@@ -11,9 +11,11 @@ from mwg import (
     GameStructure,
     InvalidGameError,
     KnapsackInstance,
+    Lasso,
     MemorylessStrategy,
     State,
     StrategyError,
+    Verdict,
     as_moore,
     as_multigraph,
     bounded_circulation_oracle,
@@ -38,9 +40,16 @@ from mwg import (
     threshold_shifted,
     validate_circuit,
     verify_p1_certificate,
+    verify_p2_cover,
     verify_p2_spoiler,
 )
-from oracles import rand_game, truth_table_satisfiable, value_iteration_energy
+from oracles import (
+    first_p2_spoiler,
+    rand_cnf,
+    rand_game,
+    truth_table_satisfiable,
+    value_iteration_energy,
+)
 from test_model import alternating_fig1_strategy
 
 
@@ -63,8 +72,10 @@ def fixed_graph(g, lam2):
 
 
 def revalidate_witnesses(g, verdict):
-    """Every (strategy, circuit) pair of a Yes must re-check in the fixed graph."""
+    """The cover of a Yes must pass its checker, and every (strategy,
+    circuit) pair it expands to must re-check in the fixed graph."""
     assert verdict.answer
+    assert verify_p2_cover(g, verdict.cover)
     for lam2, circuit in verdict.witnesses:
         sub = reachable_subgraph(fixed_graph(g, lam2), g.init)
         validate_circuit(sub, circuit)
@@ -149,6 +160,96 @@ class TestUnknownCredit:
         broken = GameStructure(1, (State("a", 1),), "a", ())
         with pytest.raises(InvalidGameError):
             solve_unknown_credit(broken)
+
+
+class TestCover:
+    @pytest.fixture(scope="class")
+    def unsat_game(self, unsat8):
+        g = encode_3sat_two_player(unsat8)
+        return g, solve_unknown_credit(g)
+
+    def test_unsat_cover_is_small(self, unsat_game):
+        # 3^8 strategies; each cube is a pair of clauses picking clashing
+        # literals, so a few dozen cubes cover them all.
+        g, v = unsat_game
+        assert len(v.cover) <= 100
+        assert len(v.witnesses) == 3**8
+        revalidate_witnesses(g, v)
+
+    def test_dropping_the_last_cube_rejected(self, unsat_game):
+        # The last cube was learnt at a strategy no earlier cube contains.
+        g, v = unsat_game
+        assert not verify_p2_cover(g, v.cover[:-1])
+        partial = Verdict(True, cover=v.cover[:-1], choices=v.choices)
+        with pytest.raises(StrategyError):
+            list(partial.witnesses)
+
+    def test_swapped_cube_edge_rejected(self, unsat_game):
+        g, v = unsat_game
+        (cube, lasso), rest = v.cover[0], v.cover[1:]
+        state, eid = sorted(cube.items())[0]
+        other = next(e.id for e in g.out_edges(state) if e.id != eid)
+        p1_edge = g.out_edges(g.init)[0].id
+        unvisited = next(s for s in g.states_of(2) if s not in cube)
+        for swapped in (
+            {state: other},  # the lasso leaves `state` by `eid`
+            {state: p1_edge},  # not an edge of `state`
+            # Choices the lasso does not use must still be legal.
+            {g.init: p1_edge},
+            {unvisited: p1_edge},
+        ):
+            assert not verify_p2_cover(g, (({**cube, **swapped}, lasso),) + rest), swapped
+
+    def test_unclosed_circuit_rejected(self, unsat_game):
+        g, v = unsat_game
+        cube, lasso = v.cover[0]
+        # The stem swallows the circuit's first edge (of weight zero): the
+        # walk stays connected and nonnegative, but no longer closes.
+        assert g.edge_by_id[lasso.cycle[0]].weight == g.zero_vector()
+        cut = Lasso(lasso.stem + lasso.cycle[:1], lasso.cycle[1:])
+        assert not verify_p2_cover(g, ((cube, cut),) + v.cover[1:])
+
+    def test_circuit_off_its_cube_rejected(self, unsat_game):
+        g, v = unsat_game
+        cube, _ = v.cover[0]
+        p2 = set(g.states_of(2))
+        foreign = next(
+            lasso
+            for _, lasso in v.cover
+            if any(g.edge_by_id[e].src in p2 and e not in cube.values() for e in lasso.cycle)
+        )
+        assert not verify_p2_cover(g, ((cube, foreign),) + v.cover[1:])
+
+    def test_stem_must_start_at_init(self, fig1):
+        cover = solve_unknown_credit(fig1).cover
+        (cube, lasso), rest = cover[0], cover[1:]
+        assert lasso.stem
+        moved = Lasso(lasso.stem[1:], lasso.cycle)
+        assert not verify_p2_cover(fig1, ((cube, moved),) + rest)
+
+    def test_negative_circuit_rejected(self):
+        g = GameStructure(
+            1,
+            (State("a", 1),),
+            "a",
+            (Edge("down", "a", "a", (-1,)), Edge("up", "a", "a", (1,))),
+        )
+        assert verify_p2_cover(g, (({}, Lasso((), ("up",))),))
+        assert not verify_p2_cover(g, (({}, Lasso((), ("down",))),))
+        assert not verify_p2_cover(g, ())
+
+    def test_spoiler_is_the_first_in_enumeration_order(self):
+        # The reference enumerates strategies flat and checks each one;
+        # the cube search must find the same first spoiler.
+        rng = random.Random(67)
+        games = [rand_game(rng, max_states=6, max_edges=10) for _ in range(300)]
+        games += [encode_3sat_two_player(rand_cnf(rng, max_vars=3, max_clauses=7)) for _ in range(30)]
+        for g in games:
+            v = solve_unknown_credit(g)
+            reference = first_p2_spoiler(g)
+            assert v.answer == (reference is None)
+            if reference is not None:
+                assert v.spoiler.choice == reference.choice
 
 
 class TestMeanpayoffThreshold:
