@@ -21,17 +21,16 @@ from .graphs import (
     Circuit,
     GraphEdge,
     MultiGraph,
-    bounded_circulation_oracle,
     circuit_weight,
     dominance,
     eulerian_circuit_from_circulation,
     min_mean_cycle,
     negative_cycle_in_dimension,
     nonnegative_circuit,
+    reachable,
     reachable_subgraph,
     sccs,
     validate_circuit,
-    with_unit_drain_loops,
     zero_circuit,
 )
 from .model import (
@@ -40,7 +39,6 @@ from .model import (
     Lasso,
     MemorylessStrategy,
     MooreStrategy,
-    ProductGraph,
     State,
     Violation,
     as_moore,
@@ -83,12 +81,10 @@ from .solvers import (
     as_multigraph,
     clamped_fixed_credit_oracle,
     enumerate_p2_memoryless,
-    product_multigraph,
     search_finite_memory_strategy,
     solve_meanpayoff_threshold,
     solve_memoryless_p1_energy,
     solve_memoryless_p1_meanpayoff,
-    solve_one_player_energy,
     solve_unknown_credit,
     sufficient_credit,
     threshold_shifted,

@@ -18,9 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from typing import Hashable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, WalkError
 from .lp import integer_scale, lp_feasible, max_support_solution, system
@@ -160,40 +158,32 @@ def sccs(g: MultiGraph) -> list[list[Vertex]]:
     return sorted((sorted(c) for c in comps), key=lambda c: c[0])
 
 
+def reachable(source: Vertex, succ: Callable[[Vertex], Iterable[tuple[object, Vertex]]]) -> dict:
+    """Breadth-first search from source; succ(v) lists (edge, successor)
+    pairs. Maps every reachable vertex, in visit order, to the edge it was
+    first reached by (None for source), so parent pointers spell shortest
+    paths."""
+    parent: dict = {source: None}
+    queue = [source]
+    for v in queue:
+        for edge, w in succ(v):
+            if w not in parent:
+                parent[w] = edge
+                queue.append(w)
+    return parent
+
+
 def reachable_subgraph(g: MultiGraph, source: Vertex) -> MultiGraph:
     """Restriction of g to vertices reachable from source."""
     if source not in set(g.vertices):
         raise WalkError(f"unknown source vertex {source!r}")
-    succ: dict[Vertex, list[Vertex]] = {}
+    succ: dict[Vertex, list] = {}
     for e in g.edges:
-        succ.setdefault(e.src, []).append(e.dst)
-    seen = {source}
-    queue = [source]
-    while queue:
-        v = queue.pop()
-        for w in succ.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+        succ.setdefault(e.src, []).append((e, e.dst))
+    seen = reachable(source, lambda v: succ.get(v, ()))
     vertices = tuple(v for v in g.vertices if v in seen)
     edges = tuple(e for e in g.edges if e.src in seen)
     return MultiGraph(g.dimension, vertices, edges, source)
-
-
-def with_unit_drain_loops(g: MultiGraph) -> MultiGraph:
-    """Add, at every vertex, one self-loop per dimension with weight -1 in
-    that dimension and 0 elsewhere.
-
-    The loops drain arbitrary surplus, reducing nonnegative-circuit search
-    to zero-circuit search: the modified graph has a zero circuit exactly
-    when the original has a nonnegative one (strip the loops to recover it).
-    """
-    extra = []
-    for v in g.vertices:
-        for d in range(g.dimension):
-            w = tuple(-1 if i == d else 0 for i in range(g.dimension))
-            extra.append(GraphEdge(("drain", v, d + 1), v, v, w))
-    return MultiGraph(g.dimension, g.vertices, g.edges + tuple(extra), g.source)
 
 
 # -- internal circuit search -------------------------------------------------
@@ -571,74 +561,3 @@ def min_mean_cycle(g: MultiGraph, d: int) -> Fraction | None:
         if comp_best is not None and (best is None or comp_best < best):
             best = comp_best
     return best
-
-
-# -- exhaustive reference oracle ---------------------------------------------
-
-
-def bounded_circulation_oracle(g: MultiGraph, bound: int, mode: str) -> Circuit | None:
-    """Exhaustively search edge multiplicity maps with entries in 0..bound
-    for one that is balanced, weakly connected in its support, and has
-    total weight zero ("zero" mode) or nonnegative ("nonnegative" mode) in
-    every dimension. Returns the circuit of the lexicographically first
-    qualifying map (edges ordered by id), or None.
-
-    Reference implementation for cross-checking the LP-based search at
-    test scale; cost grows as (bound + 1) ** len(edges).
-    """
-    if mode not in ("zero", "nonnegative"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    edges = sorted(g.edges, key=lambda e: repr(e.id))
-    m = len(edges)
-    if m == 0 or bound == 0:
-        return None
-    if m > 12:
-        raise ValueError("oracle is exhaustive; refusing more than 12 edges")
-    vertices = sorted(set(g.vertices), key=repr)
-    vindex = {v: i for i, v in enumerate(vertices)}
-    # Incidence: +1 into dst, -1 out of src; self-loops cancel to 0.
-    inc = np.zeros((m, len(vertices)), dtype=np.int64)
-    wmat = np.zeros((m, g.dimension), dtype=np.int64)
-    for i, e in enumerate(edges):
-        inc[i, vindex[e.dst]] += 1
-        inc[i, vindex[e.src]] -= 1
-        wmat[i] = e.weight
-    # Support connectivity depends only on the nonzero pattern; precompute
-    # which of the 2**m patterns qualify.
-    pattern_ok = np.zeros(1 << m, dtype=bool)
-    for mask in range(1, 1 << m):
-        chosen = [edges[i] for i in range(m) if mask >> i & 1]
-        pattern_ok[mask] = _weakly_connected([(e.src, e.dst, e.weight, (e.id,)) for e in chosen])
-    # Enumerate in blocks: the first m-h digits are constant per block and
-    # the last h digits run through a precomputed template, so block order
-    # plus template order is exactly lexicographic order over all maps.
-    bits = np.int64(1) << np.arange(m, dtype=np.int64)
-    base = bound + 1
-    h = min(m, 5)
-    radix_lo = base ** np.arange(h - 1, -1, -1, dtype=np.int64)
-    lo_counts = (np.arange(base**h, dtype=np.int64)[:, None] // radix_lo) % base
-    lo_balance = lo_counts @ inc[m - h :]
-    lo_sums = lo_counts @ wmat[m - h :]
-    lo_bits = (lo_counts > 0) @ bits[m - h :]
-    lo_any = lo_counts.any(axis=1)
-    radix_hi = base ** np.arange(m - h - 1, -1, -1, dtype=np.int64)
-    for block in range(base ** (m - h)):
-        hi = (block // radix_hi) % base if m > h else np.zeros(0, dtype=np.int64)
-        hi_balance = hi @ inc[: m - h]
-        hi_sums = hi @ wmat[: m - h]
-        ok = (lo_balance == -hi_balance).all(axis=1)
-        if mode == "zero":
-            ok &= (lo_sums == -hi_sums).all(axis=1)
-        else:
-            ok &= (lo_sums >= -hi_sums).all(axis=1)
-        if not hi.any():
-            ok &= lo_any
-        ok &= pattern_ok[lo_bits | int((hi > 0) @ bits[: m - h])]
-        hit = int(np.argmax(ok))
-        if ok[hit]:
-            row = np.concatenate([hi, lo_counts[hit]])
-            circulation = {edges[i].id: int(row[i]) for i in range(m) if row[i] > 0}
-            return eulerian_circuit_from_circulation(g, circulation)
-    return None

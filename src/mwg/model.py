@@ -10,12 +10,13 @@ ids, never to (src, dst) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import DimensionError, StrategyError, WalkError
+from .graphs import GraphEdge, MultiGraph, reachable
 
 # Weight vectors are plain tuples of ints; helpers below operate on them.
 WeightVector = tuple[int, ...]
@@ -35,12 +36,9 @@ class State:
     owner: int  # 1 or 2
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    dst: str
-    weight: WeightVector
+class Edge(GraphEdge):
+    """A game edge: a multigraph edge whose id and endpoints are strings
+    (state ids), so a game's edges serve as the edges of its graph views."""
 
 
 @dataclass(frozen=True)
@@ -118,30 +116,6 @@ class Lasso:
 
     stem: tuple[str, ...]
     cycle: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ProductEdge:
-    src: tuple[str, str]  # (memory, state)
-    dst: tuple[str, str]
-    edge_id: str
-    weight: WeightVector
-
-
-@dataclass(frozen=True)
-class ProductGraph:
-    """Reachable part of a game unfolded against one player's strategy.
-
-    Vertices are (memory, state) pairs; at states owned by the strategy's
-    player only the strategy's edge survives, so those vertices have
-    out-degree exactly 1.
-    """
-
-    game: GameStructure = field(compare=False)
-    strategy: Strategy = field(compare=False)
-    init: tuple[str, str]
-    vertices: tuple[tuple[str, str], ...]
-    edges: tuple[ProductEdge, ...]
 
 
 @dataclass(frozen=True)
@@ -304,35 +278,33 @@ def as_moore(g: GameStructure, s: MemorylessStrategy) -> MooreStrategy:
     return MooreStrategy(s.player, (m0,), m0, update, action)
 
 
-def product_with_strategy(g: GameStructure, s: Strategy) -> ProductGraph:
-    """Unfold g against s: BFS over (memory, state) pairs reachable from init.
+def product_with_strategy(g: GameStructure, s: Strategy) -> MultiGraph:
+    """Unfold g against s: the (memory, state) pairs reachable from init,
+    in breadth-first order, with source (initial memory, init).
 
     At states owned by s.player only the edge picked by s survives; the
     opponent keeps all outgoing edges. Memory advances via s.update on every
-    transition.
+    transition. Edge ids are (vertex, game edge id) pairs, unique because
+    the out-edges of a vertex carry distinct game edge ids.
     """
     check_strategy(g, s)
     moore = as_moore(g, s) if isinstance(s, MemorylessStrategy) else s
     start = (moore.initial, g.init)
-    vertices: list[tuple[str, str]] = [start]
-    seen = {start}
-    edges: list[ProductEdge] = []
-    queue = [start]
-    while queue:
-        m, sid = queue.pop(0)
+    edges: list[GraphEdge] = []
+
+    def succ(v: tuple[str, str]) -> list[tuple[GraphEdge, tuple[str, str]]]:
+        m, sid = v
         if g.owner(sid) == moore.player:
-            out = (g.edge_by_id[moore.action[(m, sid)]],)
+            out = (g.edge_by_id[moore.action[v]],)
         else:
             out = g.out_edges(sid)
-        m_next = moore.update[(m, sid)]
-        for e in out:
-            dst = (m_next, e.dst)
-            edges.append(ProductEdge((m, sid), dst, e.id, e.weight))
-            if dst not in seen:
-                seen.add(dst)
-                vertices.append(dst)
-                queue.append(dst)
-    return ProductGraph(g, s, start, tuple(vertices), tuple(edges))
+        m_next = moore.update[v]
+        new = [GraphEdge((v, e.id), v, (m_next, e.dst), e.weight) for e in out]
+        edges.extend(new)
+        return [(e, e.dst) for e in new]
+
+    vertices = tuple(reachable(start, succ))
+    return MultiGraph(g.dimension, vertices, tuple(edges), start)
 
 
 def strategies_equal(a: Strategy, b: Strategy) -> bool:

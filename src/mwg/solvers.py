@@ -29,19 +29,16 @@ from . import graphs
 from .errors import DimensionError, InvalidGameError, StrategyError, WalkError
 from .graphs import (
     Circuit,
-    GraphEdge,
     MultiGraph,
     circuit_weight,
     negative_cycle_in_dimension,
     validate_circuit,
 )
 from .model import (
-    Edge,
     GameStructure,
     Lasso,
     MemorylessStrategy,
     MooreStrategy,
-    ProductGraph,
     WeightVector,
     as_moore,
     check_strategy,
@@ -99,11 +96,13 @@ class Verdict:
     cubes together contain every such strategy (`verify_p2_cover`).
     `choices` lists each Player-2 state with its edge ids in enumeration
     order, and `witnesses` expands the cover lazily into one (strategy,
-    circuit) pair per strategy. `credit` is a suggested credit vector;
-    from `solve_unknown_credit` it is the heuristic n*W bound, neither
-    proven nor minimal. On No, `spoiler` is the first Player-2 memoryless
-    strategy, in enumeration order, whose fixed graph has no reachable
-    nonnegative circuit.
+    circuit) pair per strategy. `credit` is the heuristic n*W suggestion
+    of `sufficient_credit`, n the states reachable from the initial one,
+    neither proven nor minimal. On No, `spoiler` is the first Player-2
+    memoryless strategy, in enumeration order, whose fixed graph has no
+    reachable nonnegative circuit. A game without Player-2 states has
+    one strategy, the empty one: a Yes has a single empty cube, a No the
+    empty spoiler.
     """
 
     answer: bool
@@ -134,18 +133,12 @@ class CertificateCheck:
     credit: Optional[WeightVector] = None
 
 
-def as_multigraph(g: GameStructure) -> MultiGraph:
-    """View a game as a plain multigraph (ownership forgotten)."""
-    edges = tuple(GraphEdge(e.id, e.src, e.dst, e.weight) for e in g.edges)
-    return MultiGraph(g.dimension, tuple(s.id for s in g.states), edges, g.init)
-
-
-def product_multigraph(p: ProductGraph) -> MultiGraph:
-    """View a strategy product as a multigraph; edge ids are (src, edge id)
-    pairs, unique because out-edges of a product vertex carry distinct
-    game edge ids."""
-    edges = tuple(GraphEdge((e.src, e.edge_id), e.src, e.dst, e.weight) for e in p.edges)
-    return MultiGraph(p.game.dimension, p.vertices, edges, p.init)
+def as_multigraph(g: GameStructure, s: Optional[MemorylessStrategy] = None) -> MultiGraph:
+    """View a game as a plain multigraph (ownership forgotten), sourced at
+    the initial state. With a checked memoryless strategy s, only the
+    chosen edge survives at the states of s.player."""
+    edges = tuple(e for e in g.edges if s is None or s.choice.get(e.src, e.id) == e.id)
+    return MultiGraph(g.dimension, tuple(st.id for st in g.states), edges, g.init)
 
 
 def _require_valid(g: GameStructure) -> None:
@@ -167,27 +160,6 @@ def enumerate_p2_memoryless(g: GameStructure) -> Iterator[MemorylessStrategy]:
     states, options = _choice_space(g, 2)
     for combo in product(*options):
         yield MemorylessStrategy(2, dict(zip(states, combo)))
-
-
-def _reachable_states(g: GameStructure, source: str) -> set[str]:
-    seen = {source}
-    queue = [source]
-    while queue:
-        s = queue.pop()
-        for e in g.out_edges(s):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                queue.append(e.dst)
-    return seen
-
-
-def _suggested_credit(g: GameStructure) -> WeightVector:
-    """Heuristic credit suggestion: the classical n*W bound instantiated
-    with the reachable state count. Advisory; the cover, not this
-    vector, is the verifiable part of a Yes verdict."""
-    n = len(_reachable_states(g, g.init))
-    w = g.max_abs_weight
-    return tuple(n * w for _ in range(g.dimension))
 
 
 def _first_uncovered(
@@ -276,32 +248,23 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
     position = {sindex[s]: i for i, s in enumerate(p2_states)}
     # Records are prebuilt per edge so the per-strategy work only
     # concatenates lists: (src index, dst index, weight, (edge id,)).
-    fixed_recs = [
-        (sindex[e.src], sindex[e.dst], e.weight, (e.id,))
-        for s in g.states
-        if s.owner == 1
-        for e in g.out_edges(s.id)
-    ]
     rec_of_edge = {
         e.id: (sindex[e.src], sindex[e.dst], e.weight, (e.id,)) for e in g.edges
     }
+    fixed_recs = [rec_of_edge[e.id] for s in g.states if s.owner == 1 for e in g.out_edges(s.id)]
+    # (record, dst index) pairs out of each state, by state index.
+    out_pairs = [[(rec_of_edge[e.id], sindex[e.dst]) for e in g.out_edges(sid)] for sid in state_ids]
     cache: dict[tuple, Optional[list[int]]] = {}
     cover: list[tuple[Cube, Lasso]] = []
 
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
-        recs = fixed_recs + [rec_of_edge[opts[i]] for opts, i in zip(options, pick)]
-        succ: dict[int, list] = {}
-        for rec in recs:
-            succ.setdefault(rec[0], []).append(rec)
+        chosen = [rec_of_edge[opts[i]] for opts, i in zip(options, pick)]
+        succ = list(out_pairs)
+        for rec in chosen:
+            succ[rec[0]] = ((rec, rec[1]),)
         # Breadth first, so that parent edges spell shortest stems.
-        parent = {init: None}
-        queue = [init]
-        for v in queue:
-            for rec in succ.get(v, ()):
-                if rec[1] not in parent:
-                    parent[rec[1]] = rec
-                    queue.append(rec[1])
-        live = [r for r in recs if r[0] in parent]
+        parent = graphs.reachable(init, succ.__getitem__)
+        live = [r for r in fixed_recs + chosen if r[0] in parent]
         # Duplicate parallel edges are interchangeable for circuit
         # existence; keep one representative each and remember its ids.
         rep: dict[tuple, tuple] = {}
@@ -322,7 +285,7 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
             return None
         walk = [eid for i in abstract for eid in items[i][1]]
         # Enter the circuit at its state nearest to the initial state.
-        rank = {v: i for i, v in enumerate(queue)}
+        rank = {v: i for i, v in enumerate(parent)}
         cut = min(range(len(walk)), key=lambda i: rank[rec_of_edge[walk[i]][0]])
         stem = []
         rec = parent[rec_of_edge[walk[cut]][0]]
@@ -339,74 +302,10 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
     if pick is not None:
         spoiler = {s: opts[i] for s, opts, i in zip(p2_states, options, pick)}
         return Verdict(False, spoiler=MemorylessStrategy(2, spoiler))
+    n = len(graphs.reachable(init, out_pairs.__getitem__))
     return Verdict(
-        True, cover=tuple(cover), credit=_suggested_credit(g), choices=tuple(zip(p2_states, options))
+        True, cover=tuple(cover), credit=sufficient_credit(g, n), choices=tuple(zip(p2_states, options))
     )
-
-
-def _lasso_strategy(g: GameStructure, lasso: Lasso) -> MooreStrategy:
-    """Finite-memory strategy that plays out the lasso: one memory state
-    per walk position, advancing unconditionally and wrapping to the
-    cycle start."""
-    walk = list(lasso.stem) + list(lasso.cycle)
-    by_id = g.edge_by_id
-    length = len(walk)
-    memory = tuple(f"m{i}" for i in range(length))
-    update = {}
-    action = {}
-    for i in range(length):
-        nxt = memory[i + 1] if i + 1 < length else memory[len(lasso.stem)]
-        for s in g.states:
-            update[(memory[i], s.id)] = nxt
-            if s.owner == 1:
-                eid = walk[i] if by_id[walk[i]].src == s.id else g.out_edges(s.id)[0].id
-                action[(memory[i], s.id)] = eid
-    return MooreStrategy(1, memory, memory[0], update, action)
-
-
-def _stem_to(g: GameStructure, target: str) -> list[str]:
-    """Edge ids of a shortest path from the initial state to target."""
-    if target == g.init:
-        return []
-    back: dict[str, tuple[str, str]] = {}
-    queue = [g.init]
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
-        for e in g.out_edges(s):
-            if e.dst not in back and e.dst != g.init:
-                back[e.dst] = (s, e.id)
-                if e.dst == target:
-                    path = []
-                    cur = target
-                    while cur != g.init:
-                        prev, eid = back[cur]
-                        path.append(eid)
-                        cur = prev
-                    path.reverse()
-                    return path
-                queue.append(e.dst)
-    raise StrategyError(f"state {target!r} is not reachable")
-
-
-def solve_one_player_energy(g: GameStructure) -> Verdict:
-    """Unknown-initial-credit decision for games without Player-2 states.
-
-    Yes exactly when a nonnegative circuit is reachable from the initial
-    state; the credit comes from the n*W bound applied to the lasso that
-    reaches the witness and loops on it.
-    """
-    _require_valid(g)
-    if g.states_of(2):
-        raise ValueError("game has Player-2 states; use solve_unknown_credit")
-    circuit = graphs.nonnegative_circuit(as_multigraph(g), g.init)
-    if circuit is None:
-        return Verdict(False, spoiler=MemorylessStrategy(2, {}))
-    start = g.edge_by_id[circuit.edges[0]].src
-    lasso = Lasso(tuple(_stem_to(g, start)), circuit.edges)
-    p = product_with_strategy(g, _lasso_strategy(g, lasso))
-    return Verdict(True, cover=(({}, lasso),), credit=sufficient_credit(p))
 
 
 def _as_fractions(v: Sequence, k: int) -> list[Fraction]:
@@ -436,14 +335,14 @@ def solve_meanpayoff_threshold(g: GameStructure, v: Sequence) -> Verdict:
     return solve_unknown_credit(threshold_shifted(g, v))
 
 
-def sufficient_credit(p: ProductGraph) -> WeightVector:
-    """The n*W vector: n reachable product vertices, W the largest
-    absolute weight in the underlying game. Sufficient whenever the
-    product has no negative reachable cycle in any dimension (which is
-    what verify_p1_certificate establishes)."""
-    n = len(p.vertices)
-    w = p.game.max_abs_weight
-    return tuple(n * w for _ in range(p.game.dimension))
+def sufficient_credit(g: GameStructure, n: int) -> WeightVector:
+    """The n*W vector, W the largest absolute weight of g. With n the
+    vertices of a strategy product that has no reachable negative cycle
+    in any dimension (what verify_p1_certificate establishes), it is
+    sufficient. With n the states reachable in g, it is the advisory
+    credit of a Yes from solve_unknown_credit: the cover, not this
+    vector, is the verifiable part of that verdict."""
+    return tuple(n * g.max_abs_weight for _ in range(g.dimension))
 
 
 def verify_p1_certificate(
@@ -457,26 +356,10 @@ def verify_p1_certificate(
     moore = as_moore(g, s) if isinstance(s, MemorylessStrategy) else s
     check_strategy(g, moore)
     p = product_with_strategy(g, moore)
-    pm = product_multigraph(p)
     for d in range(1, g.dimension + 1):
-        if negative_cycle_in_dimension(pm, d, p.init) is not None:
+        if negative_cycle_in_dimension(p, d, p.source) is not None:
             return CertificateCheck(False)
-    return CertificateCheck(True, sufficient_credit(p))
-
-
-def _fixed_player_edges(g: GameStructure, s: MemorylessStrategy) -> list[Edge]:
-    fixed = []
-    for st in g.states:
-        if st.owner == s.player:
-            fixed.append(g.edge_by_id[s.choice[st.id]])
-        else:
-            fixed.extend(g.out_edges(st.id))
-    return fixed
-
-
-def _strategy_subgraph(g: GameStructure, s: MemorylessStrategy) -> MultiGraph:
-    edges = tuple(GraphEdge(e.id, e.src, e.dst, e.weight) for e in _fixed_player_edges(g, s))
-    return MultiGraph(g.dimension, tuple(st.id for st in g.states), edges, g.init)
+    return CertificateCheck(True, sufficient_credit(g, len(p.vertices)))
 
 
 def verify_p2_spoiler(g: GameStructure, s: MemorylessStrategy) -> bool:
@@ -487,7 +370,7 @@ def verify_p2_spoiler(g: GameStructure, s: MemorylessStrategy) -> bool:
     if s.player != 2:
         raise StrategyError("spoiler must belong to Player 2")
     check_strategy(g, s)
-    return graphs.nonnegative_circuit(_strategy_subgraph(g, s), g.init) is None
+    return graphs.nonnegative_circuit(as_multigraph(g, s), g.init) is None
 
 
 def verify_p2_cover(g: GameStructure, cover: Iterable[tuple[Cube, Lasso]]) -> bool:
@@ -531,48 +414,26 @@ def verify_p2_cover(g: GameStructure, cover: Iterable[tuple[Cube, Lasso]]) -> bo
     return _first_uncovered([len(o) for o in options], cubes, lambda pick: None) is None
 
 
-def _accepts_all_cycles(g: GameStructure, chosen: dict[str, str]) -> bool:
+def _accepts_all_cycles(
+    g: GameStructure, chosen: dict[str, str], out: Mapping[str, Sequence], one: Mapping[str, Sequence]
+) -> bool:
     """True iff the graph where Player 1 plays `chosen` has no reachable
-    cycle that is negative in some dimension."""
-    succ_edges: dict[str, list[Edge]] = {}
-    for st in g.states:
-        if st.owner == 1:
-            succ_edges[st.id] = [g.edge_by_id[chosen[st.id]]]
-        else:
-            succ_edges[st.id] = list(g.out_edges(st.id))
-    seen = {g.init}
-    queue = [g.init]
-    functional = True
-    while queue:
-        sid = queue.pop()
-        outs = succ_edges[sid]
-        if len(outs) != 1:
-            functional = False
-        for e in outs:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                queue.append(e.dst)
-    if functional:
-        # Deterministic play: from the initial state the walk enters a
-        # unique cycle; check it directly.
-        pos: dict[str, int] = {}
-        path: list[Edge] = []
-        cur = g.init
-        while cur not in pos:
-            pos[cur] = len(path)
-            e = succ_edges[cur][0]
-            path.append(e)
-            cur = e.dst
-        cycle = path[pos[cur] :]
-        return all(
-            sum(e.weight[d] for e in cycle) >= 0 for d in range(g.dimension)
-        )
-    edges = tuple(
-        GraphEdge(e.id, e.src, e.dst, e.weight)
-        for sid in seen
-        for e in succ_edges[sid]
-    )
-    sub = MultiGraph(g.dimension, tuple(seen), edges, g.init)
+    cycle that is negative in some dimension. `out` maps each state to
+    its (edge, successor) pairs, `one` each edge id to its pair alone."""
+
+    def succ(sid: str) -> Sequence:
+        eid = chosen.get(sid)
+        return out[sid] if eid is None else one[eid]
+
+    seen = graphs.reachable(g.init, succ)
+    outs = [succ(sid) for sid in seen]
+    if all(len(o) == 1 for o in outs):
+        # Deterministic play: the search visits the walk from the initial
+        # state in order, and the last state's edge closes its unique cycle.
+        start = list(seen).index(outs[-1][0][1])
+        cycle = [o[0][0] for o in outs[start:]]
+        return all(sum(e.weight[d] for e in cycle) >= 0 for d in range(g.dimension))
+    sub = as_multigraph(g, MemorylessStrategy(1, chosen))
     return all(
         negative_cycle_in_dimension(sub, d, g.init) is None
         for d in range(1, g.dimension + 1)
@@ -586,12 +447,14 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     any dimension. Exhaustive over candidates, first hit returned."""
     _require_valid(g)
     states, options = _choice_space(g, 1)
+    out = {s.id: tuple((e, e.dst) for e in g.out_edges(s.id)) for s in g.states}
+    one = {e.id: ((e, e.dst),) for e in g.edges}
     for combo in product(*options):
         chosen = dict(zip(states, combo))
-        if _accepts_all_cycles(g, chosen):
+        if _accepts_all_cycles(g, chosen, out, one):
             strategy = MemorylessStrategy(1, chosen)
             p = product_with_strategy(g, as_moore(g, strategy))
-            return MemorylessVerdict(True, strategy, sufficient_credit(p))
+            return MemorylessVerdict(True, strategy, sufficient_credit(g, len(p.vertices)))
     return MemorylessVerdict(False)
 
 

@@ -1,17 +1,22 @@
 """Independent reference implementations and corpus generators.
 
 Everything here is deliberately naive: truth tables, 2^n subset scans,
-DFS cycle enumeration, scalar value iteration. The point is to share no
-reasoning with the solvers under test, only the public data types.
+DFS cycle enumeration, scalar value iteration, exhaustive enumeration of
+bounded circulations. The point is to share no reasoning with the
+solvers under test, only the public data types.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Optional
 
+import numpy as np
+
 from mwg import (
+    Circuit,
     CnfFormula,
     Edge,
     GameStructure,
@@ -21,6 +26,7 @@ from mwg import (
     MultiGraph,
     State,
     enumerate_p2_memoryless,
+    eulerian_circuit_from_circulation,
     verify_p2_spoiler,
 )
 
@@ -53,6 +59,122 @@ def first_p2_spoiler(g: GameStructure) -> Optional[MemorylessStrategy]:
         if verify_p2_spoiler(g, s):
             return s
     return None
+
+
+def _connected(edges) -> bool:
+    """Whether the edges, directions ignored, touch one connected piece."""
+    adjacent: dict = {}
+    for e in edges:
+        adjacent.setdefault(e.src, set()).add(e.dst)
+        adjacent.setdefault(e.dst, set()).add(e.src)
+    if not adjacent:
+        return True
+    start = next(iter(adjacent))
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in adjacent[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(adjacent)
+
+
+@cache
+def _template(h: int, base: int) -> tuple:
+    """Digit vectors of length h below base in lexicographic order, with
+    their support bitmasks (bit j for digit j) and nonzero flags. They do
+    not depend on the graph, so every oracle call shares them (read-only)."""
+    radix = base ** np.arange(h - 1, -1, -1, dtype=np.int64)
+    counts = (np.arange(base**h, dtype=np.int64)[:, None] // radix) % base
+    support = (counts > 0) @ (np.int64(1) << np.arange(h, dtype=np.int64))
+    out = (counts, support, counts.any(axis=1))
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def bounded_circulation_oracle(g: MultiGraph, bound: int, mode: str) -> Optional[Circuit]:
+    """Exhaustively search edge multiplicity maps with entries in 0..bound
+    for one that is balanced, weakly connected in its support, and has
+    total weight zero ("zero" mode) or nonnegative ("nonnegative" mode) in
+    every dimension. Returns the circuit of the lexicographically first
+    qualifying map (edges ordered by id), or None.
+
+    Reference implementation for cross-checking the LP-based search at
+    test scale; cost grows as (bound + 1) ** len(edges).
+    """
+    if mode not in ("zero", "nonnegative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    edges = sorted(g.edges, key=lambda e: repr(e.id))
+    m = len(edges)
+    if m == 0 or bound == 0:
+        return None
+    if m > 12:
+        raise ValueError("oracle is exhaustive; refusing more than 12 edges")
+    vertices = sorted(set(g.vertices), key=repr)
+    vindex = {v: i for i, v in enumerate(vertices)}
+    # Incidence: +1 into dst, -1 out of src; self-loops cancel to 0.
+    inc = np.zeros((m, len(vertices)), dtype=np.int64)
+    wmat = np.zeros((m, g.dimension), dtype=np.int64)
+    for i, e in enumerate(edges):
+        inc[i, vindex[e.dst]] += 1
+        inc[i, vindex[e.src]] -= 1
+        wmat[i] = e.weight
+    # Support connectivity depends only on the nonzero pattern; precompute
+    # which of the 2**m patterns qualify.
+    pattern_ok = np.array(
+        [mask > 0 and _connected([e for i, e in enumerate(edges) if mask >> i & 1]) for mask in range(1 << m)]
+    )
+    # Enumerate in blocks: the first m-h digits are constant per block and
+    # the last h digits run through the template, so block order plus
+    # template order is exactly lexicographic order over all maps. A block
+    # only needs the template rows whose balance cancels its own; a linear
+    # key of the balance finds them (in template order), and an exact
+    # comparison drops the rows whose key merely collides.
+    base = bound + 1
+    h = min(m, 5)
+    counts, support, nonzero = _template(h, base)
+    inc_lo, w_lo = inc[m - h :], wmat[m - h :]
+    mix = (2 * bound * m + 1) ** np.arange(len(vertices), dtype=np.int64)
+    keys = counts @ (inc_lo @ mix)
+    radix_hi = base ** np.arange(m - h - 1, -1, -1, dtype=np.int64)
+    for block in range(base ** (m - h)):
+        hi = (block // radix_hi) % base
+        hi_balance = hi @ inc[: m - h]
+        hi_sums = hi @ wmat[: m - h]
+        rows = np.flatnonzero(keys == -(hi_balance @ mix))
+        rows = rows[(counts[rows] @ inc_lo == -hi_balance).all(axis=1)]
+        sums = counts[rows] @ w_lo
+        ok = (sums == -hi_sums) if mode == "zero" else (sums >= -hi_sums)
+        ok = ok.all(axis=1)
+        if not hi.any():
+            ok &= nonzero[rows]
+        hi_bits = int((hi > 0) @ (np.int64(1) << np.arange(m - h, dtype=np.int64)))
+        ok &= pattern_ok[support[rows] << (m - h) | hi_bits]
+        if ok.any():
+            row = np.concatenate([hi, counts[rows[np.argmax(ok)]]])
+            circulation = {edges[i].id: int(row[i]) for i in range(m) if row[i] > 0}
+            return eulerian_circuit_from_circulation(g, circulation)
+    return None
+
+
+def with_unit_drain_loops(g: MultiGraph) -> MultiGraph:
+    """Add, at every vertex, one self-loop per dimension with weight -1 in
+    that dimension and 0 elsewhere.
+
+    The loops drain arbitrary surplus, reducing nonnegative-circuit search
+    to zero-circuit search: the modified graph has a zero circuit exactly
+    when the original has a nonnegative one (strip the loops to recover it).
+    """
+    extra = []
+    for v in g.vertices:
+        for d in range(g.dimension):
+            w = tuple(-1 if i == d else 0 for i in range(g.dimension))
+            extra.append(GraphEdge(("drain", v, d + 1), v, v, w))
+    return MultiGraph(g.dimension, g.vertices, g.edges + tuple(extra), g.source)
 
 
 def simple_cycles(g: MultiGraph) -> Iterator[tuple[str, ...]]:

@@ -8,7 +8,6 @@ import random
 import time
 
 from mwg import (
-    bounded_circulation_oracle,
     circuit_weight,
     clamped_fixed_credit_oracle,
     encode_3sat_memoryless,
@@ -31,6 +30,7 @@ from mwg.cli import main
 from conftest import FIXTURES
 from test_solvers import fixed_graph
 from oracles import (
+    bounded_circulation_oracle,
     knapsack_brute_force,
     rand_cnf,
     rand_game,

@@ -13,26 +13,26 @@ from mwg import (
     MultiGraph,
     WalkError,
     as_multigraph,
-    bounded_circulation_oracle,
     circuit_weight,
     dominance,
     eulerian_circuit_from_circulation,
     min_mean_cycle,
     negative_cycle_in_dimension,
     nonnegative_circuit,
-    product_multigraph,
     product_with_strategy,
+    reachable,
     reachable_subgraph,
     sccs,
     validate_circuit,
-    with_unit_drain_loops,
     zero_circuit,
 )
 from oracles import (
+    bounded_circulation_oracle,
     has_negative_simple_cycle,
     min_mean_by_enumeration,
     rand_multigraph,
     simple_cycles,
+    with_unit_drain_loops,
 )
 
 
@@ -59,8 +59,7 @@ class TestSccs:
 
     def test_fig1_left_choice(self, fig1):
         p = product_with_strategy(fig1, MemorylessStrategy(2, {"q0": "to_q1"}))
-        mg = product_multigraph(p)
-        comps = sccs(mg)
+        comps = sccs(p)
         assert [sorted(s for _, s in comp) for comp in comps] == [["q0"], ["q1"]]
 
     def test_dag_singletons(self):
@@ -82,6 +81,64 @@ class TestSccs:
             ),
         )
         assert sccs(g) == [["a", "z"], ["m"]]
+
+
+def _distances(g, source):
+    """Edge count of a shortest path from source to each reachable vertex:
+    a plain breadth-first search, one level at a time."""
+    dist = {source: 0}
+    level = [source]
+    while level:
+        nxt = [e.dst for e in g.edges if e.src in level and e.dst not in dist]
+        for v in nxt:
+            dist[v] = dist[level[0]] + 1
+        level = list(dict.fromkeys(nxt))
+    return dist
+
+
+class TestReachable:
+    def _succ(self, g):
+        return lambda v: [(e, e.dst) for e in g.edges if e.src == v]
+
+    def test_keys_are_the_transitive_closure(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            g = rand_multigraph(rng, max_vertices=7, max_edges=14)
+            closure = {v: {v} for v in g.vertices}
+            changed = True
+            while changed:
+                changed = False
+                for e in g.edges:
+                    for v in g.vertices:
+                        if e.src in closure[v] and e.dst not in closure[v]:
+                            closure[v].add(e.dst)
+                            changed = True
+            for v in g.vertices:
+                assert set(reachable(v, self._succ(g))) == closure[v]
+
+    def test_parent_chains_spell_shortest_paths(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            g = rand_multigraph(rng, max_vertices=7, max_edges=14)
+            parent = reachable("v0", self._succ(g))
+            dist = _distances(g, "v0")
+            assert parent["v0"] is None
+            for v in parent:
+                path = []
+                at = v
+                while parent[at] is not None:
+                    e = parent[at]
+                    assert e.dst == at and e in g.edges
+                    path.append(e)
+                    at = e.src
+                assert at == "v0" and len(path) == dist[v]
+            # Visit order is breadth first: distances never decrease.
+            order = [dist[v] for v in parent]
+            assert order == sorted(order)
+
+    def test_subgraph_rejects_unknown_source(self, fig2):
+        with pytest.raises(WalkError):
+            reachable_subgraph(as_multigraph(fig2), "nope")
 
 
 class TestZeroCircuit:
@@ -127,10 +184,9 @@ class TestNonnegativeCircuit:
 
     def test_fig1_right_choice_mixes_returns(self, fig1):
         p = product_with_strategy(fig1, MemorylessStrategy(2, {"q0": "to_q2"}))
-        mg = product_multigraph(p)
-        c = nonnegative_circuit(mg, mg.source)
-        validate_circuit(mg, c)
-        assert circuit_weight(mg, c) == (0, 0)
+        c = nonnegative_circuit(p, p.source)
+        validate_circuit(p, c)
+        assert circuit_weight(p, c) == (0, 0)
         used = {eid for (_, eid) in c.multiplicity}
         assert {"ret_a", "ret_b"} <= used
 
@@ -229,11 +285,10 @@ class TestNegativeCycle:
         p = product_with_strategy(
             fig1, MemorylessStrategy(1, {"q1": "loop", "q2": "ret_a"})
         )
-        mg = product_multigraph(p)
-        cyc = negative_cycle_in_dimension(mg, 1, mg.source)
+        cyc = negative_cycle_in_dimension(p, 1, p.source)
         assert cyc is not None
         assert [eid for (_, eid) in cyc] == ["to_q2", "ret_a"]
-        assert negative_cycle_in_dimension(mg, 2, mg.source) is None
+        assert negative_cycle_in_dimension(p, 2, p.source) is None
 
     def test_bad_dimension_rejected(self, fig2):
         with pytest.raises(DimensionError):

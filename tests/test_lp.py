@@ -1,6 +1,8 @@
 import ast
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,3 +250,28 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statement at line(s) {lines}"
+
+
+def test_package_imports_only_the_standard_library():
+    package = Path(__file__).resolve().parent.parent / "src" / "mwg"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "mwg" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_import_does_not_load_numpy():
+    package_root = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, mwg; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": package_root},
+    )
+    assert out.stdout.strip() == "False"

@@ -222,7 +222,7 @@ class TestStrategiesAndProduct:
     def test_alternating_product_size(self, fig1):
         p = product_with_strategy(fig1, alternating_fig1_strategy())
         assert len(p.vertices) <= 6
-        assert p.init == ("ma", "q0")
+        assert p.source == ("ma", "q0")
 
     def test_memoryless_product_matches_reachable(self, fig1):
         lam2 = MemorylessStrategy(2, {"q0": "to_q2"})
@@ -246,7 +246,7 @@ class TestStrategiesAndProduct:
     def test_product_edges_project_to_game_edges(self, fig1):
         p = product_with_strategy(fig1, alternating_fig1_strategy())
         for e in p.edges:
-            game_edge = fig1.edge_by_id[e.edge_id]
+            game_edge = fig1.edge_by_id[e.id[1]]
             assert e.weight == game_edge.weight
             assert e.src[1] == game_edge.src
             assert e.dst[1] == game_edge.dst

@@ -18,7 +18,6 @@ from mwg import (
     Verdict,
     as_moore,
     as_multigraph,
-    bounded_circulation_oracle,
     circuit_weight,
     clamped_fixed_credit_oracle,
     decode_3sat_spoiler,
@@ -26,6 +25,7 @@ from mwg import (
     encode_3sat_memoryless,
     encode_3sat_two_player,
     encode_knapsack,
+    energy_level,
     enumerate_p2_memoryless,
     product_with_strategy,
     reachable_subgraph,
@@ -34,7 +34,6 @@ from mwg import (
     solve_meanpayoff_threshold,
     solve_memoryless_p1_energy,
     solve_memoryless_p1_meanpayoff,
-    solve_one_player_energy,
     solve_unknown_credit,
     sufficient_credit,
     threshold_shifted,
@@ -44,6 +43,7 @@ from mwg import (
     verify_p2_spoiler,
 )
 from oracles import (
+    bounded_circulation_oracle,
     first_p2_spoiler,
     rand_cnf,
     rand_game,
@@ -84,14 +84,17 @@ def revalidate_witnesses(g, verdict):
 
 
 class TestOnePlayer:
+    # Games without Player-2 states: the single-strategy case of the
+    # general search, with one empty cube on Yes and an empty spoiler on No.
     def test_fig2_yes(self, fig2):
-        v = solve_one_player_energy(fig2)
+        v = solve_unknown_credit(fig2)
         assert v.answer
         assert len(v.witnesses) == 1
+        assert [cube for cube, _ in v.cover] == [{}]
         assert all(c >= 0 for c in v.credit)
 
     def test_negative_loop_no(self):
-        v = solve_one_player_energy(single_loop_game((-1,)))
+        v = solve_unknown_credit(single_loop_game((-1,)))
         assert not v.answer
         assert v.spoiler.choice == {}
 
@@ -103,11 +106,28 @@ class TestOnePlayer:
             g.init,
             g.edges,
         )
-        assert solve_one_player_energy(one_player).answer
+        assert solve_unknown_credit(one_player).answer
 
-    def test_rejects_p2_states(self, fig1):
-        with pytest.raises(ValueError):
-            solve_one_player_energy(fig1)
+    def test_lasso_wins_from_its_length_times_w(self):
+        # The cover's single lasso, played from credit
+        # (|stem| + |cycle|) * W, never lets the energy go negative: the
+        # stem and the first round lose at most that much, and the cycle
+        # is nonnegative.
+        rng = random.Random(13)
+        yes = 0
+        for _ in range(300):
+            g = rand_game(rng, max_states=5, max_edges=8, owners=(1,))
+            v = solve_unknown_credit(g)
+            if not v.answer:
+                continue
+            yes += 1
+            ((cube, lasso),) = v.cover
+            assert cube == {}
+            credit = (len(lasso.stem) + len(lasso.cycle)) * g.max_abs_weight
+            walk = lasso.stem + lasso.cycle + lasso.cycle
+            for i in range(len(walk) + 1):
+                assert all(credit + c >= 0 for c in energy_level(g, walk[:i]))
+        assert yes > 100
 
 
 class TestEnumerateP2:
@@ -287,17 +307,17 @@ class TestSufficientCredit:
     def test_fig2_stay_at_a(self, fig2):
         stay = MemorylessStrategy(1, {"qa": "loopa", "qb": "loopb"})
         p = product_with_strategy(fig2, stay)
-        assert sufficient_credit(p) == (2, 2)
+        assert sufficient_credit(fig2, len(p.vertices)) == (2, 2)
 
     def test_zero_weight_game(self):
         g = single_loop_game((0, 0, 0))
         p = product_with_strategy(g, MemorylessStrategy(1, {"s": "stay"}))
-        assert sufficient_credit(p) == (0, 0, 0)
+        assert sufficient_credit(g, len(p.vertices)) == (0, 0, 0)
 
     def test_fig1_alternating(self, fig1):
         p = product_with_strategy(fig1, alternating_fig1_strategy())
         n = len(p.vertices)
-        assert sufficient_credit(p) == (2 * n, 2 * n)
+        assert sufficient_credit(fig1, n) == (2 * n, 2 * n)
 
 
 class TestVerifyP1:
@@ -368,7 +388,7 @@ class TestMemorylessP1:
             g.init,
             g.edges,
         )
-        assert solve_one_player_energy(one_player).answer
+        assert solve_unknown_credit(one_player).answer
 
     def test_meanpayoff_satisfiable_clause(self, clause1):
         g = encode_3sat_memoryless(clause1)
@@ -479,10 +499,14 @@ class TestRandomCorpusInvariants:
         rng = random.Random(11)
         for _ in range(80):
             g = rand_game(rng, max_states=5, max_edges=7, owners=(1,))
-            v = solve_one_player_energy(g)
+            v = solve_unknown_credit(g)
             sub = reachable_subgraph(as_multigraph(g), g.init)
             witness = bounded_circulation_oracle(sub, 12, "nonnegative")
             assert v.answer == (witness is not None)
+            if v.answer:
+                assert len(v.cover) == 1
+            else:
+                assert v.spoiler.choice == {}
 
     def test_memoryless_yes_implies_general_yes(self):
         rng = random.Random(43)
