@@ -240,9 +240,9 @@ def check_strategy(g: GameStructure, s: Strategy) -> None:
     """Raise StrategyError unless s is a total, well-formed strategy for g."""
     if s.player not in (1, 2):
         raise StrategyError(f"strategy player must be 1 or 2, got {s.player!r}")
-    owned = set(g.states_of(s.player))
+    owned = g.states_of(s.player)
     if isinstance(s, MemorylessStrategy):
-        if set(s.choice) != owned:
+        if set(s.choice) != set(owned):
             raise StrategyError("memoryless strategy domain must be exactly the states owned by its player")
         for sid, eid in s.choice.items():
             edge = g.edge_by_id.get(eid)
@@ -253,9 +253,8 @@ def check_strategy(g: GameStructure, s: Strategy) -> None:
         raise StrategyError("Moore strategy memory ids must be nonempty and unique")
     if s.initial not in s.memory:
         raise StrategyError(f"initial memory {s.initial!r} is not a memory id")
-    all_states = {st.id for st in g.states}
     for m in s.memory:
-        for sid in all_states:
+        for sid in (st.id for st in g.states):
             nxt = s.update.get((m, sid))
             if nxt is None:
                 raise StrategyError(f"update is not total: missing ({m!r}, {sid!r})")

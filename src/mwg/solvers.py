@@ -119,7 +119,8 @@ class Verdict:
 @dataclass(frozen=True)
 class MemorylessVerdict:
     """Outcome of the memoryless-Player-1 variants. On Yes carries the
-    winning strategy and an initial credit for it; a No is by exhaustion
+    winning strategy and an initial credit for it; a No is by covering
+    nogood cubes (every candidate agrees with a losing lasso's choices)
     and carries nothing."""
 
     answer: bool
@@ -177,28 +178,25 @@ def _first_uncovered(
     either returns a cube containing it, which is learnt, and the walk
     jumps back to that cube's deepest position; or returns None, and the
     walk stops at that vector. None means the cubes contain every vector.
+    Cubes passed in are always indexed; a learnt one only when it can
+    still contain a later vector.
     """
     m = len(sizes)
     # Cubes by deepest position and the option there; each entry keeps
     # the cube's other pairs. A cube is tested only once its deepest
     # position is assigned, i.e. when it can first be contained.
     by_last: list[dict[int, list[tuple[tuple[int, int], ...]]]] = [{} for _ in range(m)]
-
-    def learn(cube: tuple[tuple[int, int], ...]) -> bool:
-        """Index the cube; False if it is empty, i.e. contains everything."""
-        if not cube:
-            return False
-        j, o = cube[-1]
-        by_last[j].setdefault(o, []).append(cube[:-1])
-        return True
-
-    if not all(learn(c) for c in cubes):
-        return None
+    cubes = list(cubes)
+    if not all(cubes):
+        return None  # an empty cube contains everything
+    for cube in cubes:
+        by_last[cube[-1][0]].setdefault(cube[-1][1], []).append(cube[:-1])
     pick = [0] * m
     d = 0
     while True:
         if d < m:
-            if not any(all(pick[i] == o for i, o in rest) for rest in by_last[d].get(pick[d], ())):
+            rests = by_last[d].get(pick[d])
+            if not rests or not any(all(pick[i] == o for i, o in rest) for rest in rests):
                 d += 1
                 if d < m:
                     pick[d] = 0
@@ -207,9 +205,13 @@ def _first_uncovered(
             cube = settle(pick)
             if cube is None:
                 return pick
-            if not learn(cube):
+            if not cube:
                 return None
             d = cube[-1][0]
+            # A cube fixing every position up to its deepest one contains
+            # no vector after this one, which the walk leaves for good.
+            if len(cube) <= d:
+                by_last[d].setdefault(cube[-1][1], []).append(cube[:-1])
         # Every vector extending pick[: d + 1] is contained: move on to
         # the next partial vector in lexicographic order.
         while pick[d] + 1 == sizes[d]:
@@ -414,48 +416,67 @@ def verify_p2_cover(g: GameStructure, cover: Iterable[tuple[Cube, Lasso]]) -> bo
     return _first_uncovered([len(o) for o in options], cubes, lambda pick: None) is None
 
 
-def _accepts_all_cycles(
-    g: GameStructure, chosen: dict[str, str], out: Mapping[str, Sequence], one: Mapping[str, Sequence]
-) -> bool:
-    """True iff the graph where Player 1 plays `chosen` has no reachable
-    cycle that is negative in some dimension. `out` maps each state to
-    its (edge, successor) pairs, `one` each edge id to its pair alone."""
-
-    def succ(sid: str) -> Sequence:
-        eid = chosen.get(sid)
-        return out[sid] if eid is None else one[eid]
-
-    seen = graphs.reachable(g.init, succ)
-    outs = [succ(sid) for sid in seen]
-    if all(len(o) == 1 for o in outs):
-        # Deterministic play: the search visits the walk from the initial
-        # state in order, and the last state's edge closes its unique cycle.
-        start = list(seen).index(outs[-1][0][1])
-        cycle = [o[0][0] for o in outs[start:]]
-        return all(sum(e.weight[d] for e in cycle) >= 0 for d in range(g.dimension))
-    sub = as_multigraph(g, MemorylessStrategy(1, chosen))
-    return all(
-        negative_cycle_in_dimension(sub, d, g.init) is None
-        for d in range(1, g.dimension + 1)
-    )
-
-
 def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     """Decide whether some memoryless Player-1 strategy wins the energy
     objective for some initial credit: a candidate wins iff its fixed
     graph (Player-2 branching intact) has no reachable negative cycle in
-    any dimension. Exhaustive over candidates, first hit returned."""
+    any dimension. The first winning candidate in enumeration order is
+    returned.
+
+    Candidates are walked depth first over the Player-1 states with a
+    choice. A losing one is refuted by a negative cycle plus a shortest
+    stem to it from the initial state; every candidate that agrees with
+    it at the states the stem and cycle leave from (its nogood cube)
+    loses too, and the walk skips them all."""
     _require_valid(g)
     states, options = _choice_space(g, 1)
-    out = {s.id: tuple((e, e.dst) for e in g.out_edges(s.id)) for s in g.states}
-    one = {e.id: ((e, e.dst),) for e in g.edges}
-    for combo in product(*options):
-        chosen = dict(zip(states, combo))
-        if _accepts_all_cycles(g, chosen, out, one):
-            strategy = MemorylessStrategy(1, chosen)
-            p = product_with_strategy(g, as_moore(g, strategy))
-            return MemorylessVerdict(True, strategy, sufficient_credit(g, len(p.vertices)))
-    return MemorylessVerdict(False)
+    multi = [(s, g.out_edges(s)) for s, opts in zip(states, options) if len(opts) > 1]
+    position = {s: j for j, (s, _) in enumerate(multi)}
+    forced = {s: es[0] for s, es in g.outgoing.items() if len(es) == 1}
+
+    def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
+        # Deterministic play from the initial state closes one cycle.
+        at, seen, walk, used = g.init, {}, [], []
+        while at not in seen:
+            seen[at] = len(walk)
+            j = position.get(at)
+            if j is not None:
+                used.append(j)
+                walk.append(multi[j][1][pick[j]])
+            elif at in forced:
+                walk.append(forced[at])
+            else:
+                break
+            at = walk[-1].dst
+        else:
+            if all(sum(c) >= 0 for c in zip(*(e.weight for e in walk[seen[at] :]))):
+                return None
+            return tuple((j, pick[j]) for j in sorted(used))
+        # Player 2 branches: search the graph for a negative cycle.
+        step = {s: opts[i] for (s, opts), i in zip(multi, pick)}
+        sub = as_multigraph(g, MemorylessStrategy(1, {s: e.id for s, e in step.items()}))
+        found = (negative_cycle_in_dimension(sub, d, g.init) for d in range(1, g.dimension + 1))
+        cycle = next((c for c in found if c is not None), None)
+        if cycle is None:
+            return None
+        # The stem is a shortest path to the cycle's state nearest the start.
+        out = {s: ((e, e.dst),) for s, e in step.items()}
+        parent = graphs.reachable(g.init, lambda v: out.get(v) or [(e, e.dst) for e in g.out_edges(v)])
+        srcs = [g.edge_by_id[eid].src for eid in cycle]
+        e = parent[min(srcs, key=list(parent).index)]
+        while e is not None:
+            srcs.append(e.src)
+            e = parent[e.src]
+        return tuple((j, pick[j]) for j in sorted(position[s] for s in srcs if s in position))
+
+    pick = _first_uncovered([len(opts) for _, opts in multi], (), settle)
+    if pick is None:
+        return MemorylessVerdict(False)
+    choice = dict(zip(states, (opts[0] for opts in options)))
+    choice.update((s, opts[i].id) for (s, opts), i in zip(multi, pick))
+    strategy = MemorylessStrategy(1, choice)
+    p = product_with_strategy(g, as_moore(g, strategy))
+    return MemorylessVerdict(True, strategy, sufficient_credit(g, len(p.vertices)))
 
 
 def solve_memoryless_p1_meanpayoff(g: GameStructure, v: Sequence) -> MemorylessVerdict:
@@ -484,41 +505,37 @@ def clamped_fixed_credit_oracle(g: GameStructure, v0: WeightVector, cap: int) ->
         raise ValueError("credit components must be nonnegative")
     if any(c > cap for c in v0):
         raise ValueError("cap is smaller than a credit component")
+    # Explore (state, clamped energy) pairs, keeping each pair's
+    # predecessors and a count of its moves that keep it alive: for
+    # Player 1 its safe moves, for Player 2 one if all its moves are safe.
     start = (g.init, tuple(v0))
-    moves: dict[tuple, list[Optional[tuple]]] = {}
+    preds: dict[tuple, list[tuple]] = {start: []}
+    live: dict[tuple, int] = {}
     queue = [start]
-    while queue:
-        vtx = queue.pop()
-        if vtx in moves:
-            continue
+    for vtx in queue:
         sid, energy = vtx
-        succs: list[Optional[tuple]] = []
-        for e in g.out_edges(sid):
+        safe, out = 0, g.out_edges(sid)
+        for e in out:
             ne = tuple(c + w for c, w in zip(energy, e.weight))
-            if any(c < 0 for c in ne):
-                succs.append(None)  # losing move
-                continue
+            if min(ne) < 0:
+                continue  # losing move
+            safe += 1
             tgt = (e.dst, tuple(min(c, cap) for c in ne))
-            succs.append(tgt)
-            if tgt not in moves:
+            if tgt not in preds:
+                preds[tgt] = []
                 queue.append(tgt)
-        moves[vtx] = succs
-    alive = set(moves)
-    changed = True
-    while changed:
-        changed = False
-        for vtx in sorted(moves, key=repr):
-            if vtx not in alive:
-                continue
-            succs = moves[vtx]
-            if g.owner(vtx[0]) == 1:
-                ok = any(t is not None and t in alive for t in succs)
-            else:
-                ok = all(t is not None and t in alive for t in succs)
-            if not ok:
-                alive.discard(vtx)
-                changed = True
-    return start in alive
+            preds[tgt].append(vtx)
+        live[vtx] = safe if g.owner(sid) == 1 else int(safe == len(out))
+    # Player 2's attractor: a pair is lost once its count drops to zero,
+    # and each lost pair takes one count from every move into it.
+    lost = [vtx for vtx in queue if not live[vtx]]
+    for vtx in lost:
+        for u in preds[vtx]:
+            if live[u]:
+                live[u] -= 1
+                if not live[u]:
+                    lost.append(u)
+    return live[start] > 0
 
 
 def _canonical_machine(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -25,8 +26,10 @@ from mwg import (
     MemorylessStrategy,
     MultiGraph,
     State,
+    as_moore,
     enumerate_p2_memoryless,
     eulerian_circuit_from_circulation,
+    verify_p1_certificate,
     verify_p2_spoiler,
 )
 
@@ -58,6 +61,19 @@ def first_p2_spoiler(g: GameStructure) -> Optional[MemorylessStrategy]:
     for s in enumerate_p2_memoryless(g):
         if verify_p2_spoiler(g, s):
             return s
+    return None
+
+
+def first_p1_winner(g: GameStructure) -> Optional[tuple[MemorylessStrategy, tuple[int, ...]]]:
+    """First Player-1 memoryless strategy, in enumeration order (states
+    and edges by id), that the certificate checker accepts, with the
+    credit it certifies; or None. The flat enumeration, no nogoods."""
+    states = list(g.states_of(1))
+    for combo in product(*([e.id for e in g.out_edges(sid)] for sid in states)):
+        strategy = MemorylessStrategy(1, dict(zip(states, combo)))
+        check = verify_p1_certificate(g, as_moore(g, strategy))
+        if check.accepted:
+            return strategy, check.credit
     return None
 
 
@@ -246,6 +262,48 @@ def value_iteration_energy(g: GameStructure) -> bool:
         if not changed:
             break
     return f[g.init] <= cap
+
+
+def clamped_fixpoint_reference(g: GameStructure, v0: tuple[int, ...], cap: int) -> bool:
+    """The clamped fixed-credit safety game decided by sweeping every
+    (state, clamped energy) pair, in a fixed order, until no pair dies:
+    a Player-1 pair lives while some safe move reaches a live pair, a
+    Player-2 pair while all its moves are safe and reach live pairs."""
+    start = (g.init, tuple(v0))
+    moves: dict[tuple, list[Optional[tuple]]] = {}
+    queue = [start]
+    while queue:
+        vtx = queue.pop()
+        if vtx in moves:
+            continue
+        sid, energy = vtx
+        succs: list[Optional[tuple]] = []
+        for e in g.out_edges(sid):
+            ne = tuple(c + w for c, w in zip(energy, e.weight))
+            if any(c < 0 for c in ne):
+                succs.append(None)  # losing move
+                continue
+            tgt = (e.dst, tuple(min(c, cap) for c in ne))
+            succs.append(tgt)
+            if tgt not in moves:
+                queue.append(tgt)
+        moves[vtx] = succs
+    alive = set(moves)
+    changed = True
+    while changed:
+        changed = False
+        for vtx in sorted(moves, key=repr):
+            if vtx not in alive:
+                continue
+            succs = moves[vtx]
+            if g.owner(vtx[0]) == 1:
+                ok = any(t is not None and t in alive for t in succs)
+            else:
+                ok = all(t is not None and t in alive for t in succs)
+            if not ok:
+                alive.discard(vtx)
+                changed = True
+    return start in alive
 
 
 def rand_cnf(rng: random.Random, max_vars: int = 4, max_clauses: int = 8) -> CnfFormula:

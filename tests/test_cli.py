@@ -1,4 +1,7 @@
 
+import subprocess
+import sys
+
 from mwg import write_certificate
 from mwg.cli import main
 from conftest import FIXTURES, fixture_text
@@ -132,6 +135,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", "p2", FIG1, str(cert))
         assert code == 3
         assert "memoryless" in err
+
+    def test_missing_action_names_the_first_state(self, tmp_path):
+        # Strategy checks walk states in game order, so the error names
+        # the same state whatever the interpreter's hash seed.
+        cert = tmp_path / "empty.cert"
+        cert.write_text("")
+        errors = set()
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "mwg", "check", "p1", FIG1, str(cert)],
+                capture_output=True, text=True,
+                env={"PYTHONPATH": str(FIXTURES.parent / "src"), "PYTHONHASHSEED": seed},
+            )
+            assert done.returncode == 3
+            errors.add(done.stderr)
+        assert errors == {"error: action is not total: missing ('m0', 'q1')\n"}
 
     def test_foreign_certificate_exits_3(self, capsys, tmp_path):
         cert = tmp_path / "foreign.cert"

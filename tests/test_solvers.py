@@ -42,11 +42,15 @@ from mwg import (
     verify_p2_cover,
     verify_p2_spoiler,
 )
+from mwg.solvers import _first_uncovered
 from oracles import (
     bounded_circulation_oracle,
+    clamped_fixpoint_reference,
+    first_p1_winner,
     first_p2_spoiler,
     rand_cnf,
     rand_game,
+    rand_knapsack,
     truth_table_satisfiable,
     value_iteration_energy,
 )
@@ -404,6 +408,90 @@ class TestMemorylessP1:
         assert v.strategy.choice["qa"] == "loopa"
 
 
+def assert_first_p1_winner(g):
+    """The nogood search returns what the flat enumeration returns:
+    answer, strategy (in the same key order) and credit."""
+    v = solve_memoryless_p1_energy(g)
+    reference = first_p1_winner(g)
+    assert v.answer == (reference is not None)
+    if reference is None:
+        assert v.strategy is None and v.credit is None
+    else:
+        assert list(v.strategy.choice.items()) == list(reference[0].choice.items())
+        assert v.credit == reference[1]
+    return v.answer
+
+
+def p1_corpus(seed, games, knapsacks, items, formulas):
+    """rand_game games (both owners), knapsack chains of items[0] to
+    items[1] items and 3SAT chains."""
+    rng = random.Random(seed)
+    out = [rand_game(rng, max_states=7, max_edges=14) for _ in range(games)]
+    for _ in range(knapsacks):
+        inst = rand_knapsack(rng, max_items=items[1])
+        while len(inst.items) < items[0]:
+            inst = rand_knapsack(rng, max_items=items[1])
+        out.append(encode_knapsack(inst))
+    out += [encode_3sat_memoryless(rand_cnf(rng, max_vars=4, max_clauses=16)) for _ in range(formulas)]
+    return out
+
+
+def stem_choice_game(p2_start):
+    """Player 1 picks at `a` between `b`, whose two loops are both
+    negative, and `c`, whose loop is zero, so the first winner goes to
+    `c` and keeps `b`'s first loop. The losing cycles leave only from
+    `b`: a nogood without the stem state `a` would rule that winner out.
+    With p2_start, play starts at a Player-2 state with two edges into
+    `a`, so the search cannot just follow deterministic play."""
+    states = [State("a", 1), State("b", 1), State("c", 1)]
+    edges = [
+        Edge("a1", "a", "b", (0,)),
+        Edge("a2", "a", "c", (0,)),
+        Edge("b1", "b", "b", (-1,)),
+        Edge("b2", "b", "b", (-2,)),
+        Edge("c0", "c", "c", (0,)),
+    ]
+    if p2_start:
+        states.append(State("p", 2))
+        edges += [Edge("p1", "p", "a", (0,)), Edge("p2", "p", "a", (1,))]
+    return GameStructure(1, tuple(states), "p" if p2_start else "a", tuple(edges))
+
+
+class TestMemorylessNogoods:
+    @pytest.mark.parametrize("p2_start", [False, True])
+    def test_nogood_keeps_the_stem_choice(self, p2_start):
+        g = stem_choice_game(p2_start)
+        v = solve_memoryless_p1_energy(g)
+        assert v.answer
+        assert v.strategy.choice == {"a": "a2", "b": "b1", "c": "c0"}
+        assert_first_p1_winner(g)
+
+    def test_matches_the_flat_enumeration(self):
+        # rand_game games (both owners, so Player 2 branches in many),
+        # knapsack chains and 3SAT chains, where every nogood is a full
+        # assignment.
+        games = p1_corpus(71, games=1000, knapsacks=200, items=(1, 7), formulas=100)
+        answers = [assert_first_p1_winner(g) for g in games]
+        assert 200 < sum(answers) < len(answers) - 200
+
+    @pytest.mark.slow
+    def test_matches_the_flat_enumeration_large(self):
+        games = p1_corpus(73, games=10000, knapsacks=24, items=(10, 12), formulas=200)
+        answers = [assert_first_p1_winner(g) for g in games]
+        assert 2000 < sum(answers) < len(answers) - 2000
+
+    def test_full_cubes_visit_every_vector_once_in_product_order(self):
+        sizes = [2, 3, 1, 2]
+        seen = []
+
+        def settle(pick):
+            seen.append(tuple(pick))
+            return tuple(enumerate(pick))
+
+        assert _first_uncovered(sizes, (), settle) is None
+        assert seen == list(itertools.product(*map(range, sizes)))
+
+
 class TestClampedOracle:
     def test_fig1_credit_thresholds(self, fig1):
         assert not clamped_fixed_credit_oracle(fig1, (2, 0), 4)
@@ -442,6 +530,18 @@ class TestClampedOracle:
                         if all(a <= b for a, b in zip(v0, v1)):
                             assert wins[v1]
                     assert clamped_fixed_credit_oracle(g, v0, cap + 1)
+
+    def test_attractor_matches_the_fixpoint_sweep(self):
+        rng = random.Random(83)
+        wins = 0
+        for _ in range(3000):
+            g = rand_game(rng, max_states=5, max_edges=9, max_k=2, lo=-2, hi=2)
+            cap = rng.randint(0, 6)
+            v0 = tuple(rng.randint(0, cap) for _ in range(g.dimension))
+            won = clamped_fixed_credit_oracle(g, v0, cap)
+            assert won == clamped_fixpoint_reference(g, v0, cap)
+            wins += won
+        assert 600 < wins < 2400
 
 
 class TestSearchFiniteMemory:
