@@ -41,7 +41,7 @@ def _threshold_arg(text: str):
 def _credit_arg(text: str):
     parts = text.split(",")
     try:
-        return tuple(int(p.strip()) for p in parts)
+        return tuple([int(p.strip()) for p in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed credit {text!r}, expected comma-separated integers") from exc
 

@@ -60,7 +60,7 @@ def _fail(lineno: int, column: int, reason: str):
 def _parse_weight(tok: str, lineno: int, column: int) -> tuple[int, ...]:
     if _WEIGHT.match(tok) is None:
         _fail(lineno, column, f"malformed weight {tok!r}, expected w=(<int>,...)")
-    return tuple(int(x) for x in tok[3:-1].split(","))
+    return tuple([int(x) for x in tok[3:-1].split(",")])
 
 
 def parse_game(text: str) -> GameStructure:
@@ -243,7 +243,7 @@ _CREDIT = re.compile(r"^\((-?\d+)(?:,(-?\d+))*\)$")
 def _parse_credit(tok: str, lineno: int, col: int) -> tuple[int, ...]:
     if _CREDIT.match(tok) is None:
         _fail(lineno, col, f"malformed credit {tok!r}, expected (<int>,...)")
-    return tuple(int(x) for x in tok[1:-1].split(","))
+    return tuple([int(x) for x in tok[1:-1].split(",")])
 
 
 def parse_certificate(

@@ -7,8 +7,8 @@ linear program over edge multiplicities: a circuit induces a balanced
 multiplicity vector (inflow equals outflow at every vertex), and
 conversely any balanced integer vector whose support is weakly connected
 is realized by some closed walk (Euler). Connectivity is not linear, so
-the search runs per strongly connected component and recurses on the
-support of a maximal feasible point; see _component_witness for the
+the search runs per strongly connected component and continues on the
+support of a maximal feasible point; see _search_circuit for the
 completeness argument.
 """
 
@@ -181,8 +181,8 @@ def reachable_subgraph(g: MultiGraph, source: Vertex) -> MultiGraph:
     for e in g.edges:
         succ.setdefault(e.src, []).append((e, e.dst))
     seen = reachable(source, lambda v: succ.get(v, ()))
-    vertices = tuple(v for v in g.vertices if v in seen)
-    edges = tuple(e for e in g.edges if e.src in seen)
+    vertices = tuple([v for v in g.vertices if v in seen])
+    edges = tuple([e for e in g.edges if e.src in seen])
     return MultiGraph(g.dimension, vertices, edges, source)
 
 
@@ -239,7 +239,7 @@ def _simplify(recs: list[_Rec]) -> list[_Rec]:
                 for fi in list(ins[v]):
                     fsrc, _, fw, fexp = edges[fi]
                     drop_edge(fi)
-                    fused = (fsrc, odst, tuple(a + b for a, b in zip(fw, ow)), fexp + oexp)
+                    fused = (fsrc, odst, tuple([a + b for a, b in zip(fw, ow)]), fexp + oexp)
                     edges[next_id] = fused
                     outs[fsrc].add(next_id)
                     ins[odst].add(next_id)
@@ -332,15 +332,11 @@ def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
 def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     vertices = sorted({r[0] for r in recs} | {r[1] for r in recs}, key=repr)
     names = [f"x{i}" for i in range(len(recs))]
-    rows = []
-    for v in vertices:
-        coeffs = [0] * len(recs)
-        for i, (src, dst, _, _) in enumerate(recs):
-            if dst == v:
-                coeffs[i] += 1
-            if src == v:
-                coeffs[i] -= 1
-        rows.append((coeffs, "=", 0))
+    balance = {v: [0] * len(recs) for v in vertices}
+    for i, (src, dst, _, _) in enumerate(recs):
+        balance[dst][i] += 1
+        balance[src][i] -= 1
+    rows = [(balance[v], "=", 0) for v in vertices]
     relation = "=" if mode == "zero" else ">="
     for d in range(dimension):
         rows.append(([r[2][d] for r in recs], relation, 0))
@@ -352,41 +348,42 @@ def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     return system(names, rows), names
 
 
-def _component_witness(recs: list[_Rec], dimension: int, mode: str) -> list | None:
-    """Witness walk (original edge ids) within one SCC, or None.
-
-    Any qualifying circuit C confined to this component induces a feasible
-    multiplicity vector, so LP infeasibility is conclusive. If feasible,
-    the support of a maximal feasible point contains the support of every
-    feasible point, C's included; either that support spans the component
-    (then it is strongly connected, and the scaled point itself is
-    realizable as a circuit), or recursing on the strictly smaller support
-    subgraph keeps C intact. Termination: the edge set shrinks each level.
-    """
-    sys_, names = _circulation_system(recs, dimension, mode)
-    out = lp_feasible(sys_)
-    if out.status != "feasible":
-        return None
-    counts = integer_scale(out.assignment)
-    used = [i for i in range(len(recs)) if counts[names[i]] > 0]
-    if _weakly_connected([recs[i] for i in used]):
-        walk = _euler_walk(recs, [counts[n] for n in names])
-        return [eid for i in walk for eid in recs[i][3]]
-    sol, support = max_support_solution(sys_)
-    used = sorted(i for i in range(len(recs)) if names[i] in support)
-    if len(used) == len(recs):
-        counts = integer_scale(sol.assignment)
-        walk = _euler_walk(recs, [counts[n] for n in names])
-        return [eid for i in walk for eid in recs[i][3]]
-    return _search_circuit([recs[i] for i in used], dimension, mode)
-
-
 def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
-    recs = _simplify(recs)
-    for comp in _rec_sccs(recs):
-        found = _component_witness([recs[i] for i in comp], dimension, mode)
-        if found is not None:
-            return found
+    """Witness walk (original edge ids) of a qualifying circuit, or None.
+
+    Searched one strongly connected component at a time, depth first on
+    an explicit stack. Any qualifying circuit C confined to a component
+    induces a feasible multiplicity vector, so LP infeasibility is
+    conclusive. If feasible, the support of a maximal feasible point
+    contains the support of every feasible point, C's included; either
+    that support spans the component (then it is strongly connected, and
+    the scaled point itself is realizable as a circuit), or searching the
+    strictly smaller support subgraph in its place keeps C intact.
+    Termination: the edge set shrinks each time.
+    """
+
+    def components(recs: list[_Rec]) -> list[list[_Rec]]:
+        # Last first, so the stack pops them in _rec_sccs order and a
+        # support's components come before the next sibling component.
+        recs = _simplify(recs)
+        return [[recs[i] for i in comp] for comp in reversed(_rec_sccs(recs))]
+
+    stack = components(recs)
+    while stack:
+        comp = stack.pop()
+        sys_, names = _circulation_system(comp, dimension, mode)
+        out = lp_feasible(sys_)
+        if out.status != "feasible":
+            continue
+        counts = integer_scale(out.assignment)
+        if not _weakly_connected([r for r, x in zip(comp, names) if counts[x] > 0]):
+            out, support = max_support_solution(sys_)
+            if len(support) < len(comp):
+                stack += components([r for r, x in zip(comp, names) if x in support])
+                continue
+            counts = integer_scale(out.assignment)
+        walk = _euler_walk(comp, [counts[x] for x in names])
+        return [eid for i in walk for eid in comp[i][3]]
     return None
 
 
@@ -515,7 +512,7 @@ def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[
             cycle = forward[: q - (k - 1)]
             if sum(recs[r][2] for r in cycle) >= 0:
                 raise AssertionError("cycle cut from an improving walk is not negative")
-            return tuple(recs[r][3] for r in cycle)
+            return tuple([recs[r][3] for r in cycle])
         seen[v] = k - 1
     raise AssertionError("n-edge walk without repeated vertex")
 

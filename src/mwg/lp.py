@@ -1,11 +1,14 @@
 """Exact linear programming over rationals.
 
-A small dictionary-form simplex with Bland's pivoting rule. The public
-interface speaks `fractions.Fraction`; internally the tableau is kept as
-scaled integers (fraction-free pivoting, all divisions exact), so
-feasibility and optimality answers carry no floating-point tolerance at
-all. Sized for the circulation systems built by the circuit-detection
-code: tens of variables, not thousands.
+A small dictionary-form simplex with Bland's pivoting rule. Rows are
+integers from construction on: `constraint` multiplies a row with
+rational entries by the lcm of its denominators, and the tableau is
+pivoted fraction-free (all divisions exact), so feasibility and
+optimality answers carry no floating-point tolerance at all. `Fraction`
+appears only where a value really is rational: nonzero lower bounds, the
+extracted assignment and the objective value. Sized for the circulation
+systems built by the circuit-detection code: tens of variables, not
+thousands.
 """
 
 from __future__ import annotations
@@ -22,11 +25,29 @@ Rational = Fraction
 _RELATIONS = ("=", ">=")
 
 
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """A rational vector times the lcm of its denominators, and that lcm."""
+    exact = [Fraction(x) for x in values]
+    scale = lcm(*[x.denominator for x in exact])
+    return [x.numerator * (scale // x.denominator) for x in exact], scale
+
+
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """coeffs . x (relation) rhs, stored with integer entries: a row with
+    rational entries is multiplied by the lcm of its denominators, a
+    positive factor that leaves its solution set unchanged. An all-integer
+    row is kept as given."""
+
+    coeffs: tuple[int, ...]
     relation: str  # "=" or ">="
-    rhs: Fraction
+    rhs: int
+
+    def __post_init__(self) -> None:
+        if not {type(self.rhs), *map(type, self.coeffs)} <= {int}:
+            *coeffs, rhs = _scaled((*self.coeffs, self.rhs))[0]
+            object.__setattr__(self, "coeffs", tuple(coeffs))
+            object.__setattr__(self, "rhs", rhs)
 
 
 @dataclass(frozen=True)
@@ -36,14 +57,14 @@ class LinearConstraintSystem:
 
 
 def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
-    """Build a constraint, coercing ints to exact fractions."""
-    return Constraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+    """Build a constraint; rational entries are scaled to integers."""
+    return Constraint(tuple(coeffs), relation, rhs)
 
 
 def system(variables: Iterable[str], rows: Iterable[tuple]) -> LinearConstraintSystem:
     """Build a system from (coeffs, relation, rhs) triples."""
     return LinearConstraintSystem(
-        tuple(variables), tuple(constraint(c, rel, r) for c, rel, r in rows)
+        tuple(variables), tuple([constraint(c, rel, r) for c, rel, r in rows])
     )
 
 
@@ -100,22 +121,22 @@ class _Simplex:
         # Absorb single-variable lower-bound rows (a*x >= r, a > 0) into a
         # bound so circulation nonnegativity costs no tableau rows.
         self.lower: list[Fraction | None] = [None] * self.n
-        kept: list[tuple[list[Fraction], str, Fraction]] = []
+        kept: list[tuple[Sequence[int], str, int]] = []
         for c in self.sys.constraints:
-            nz = [(j, a) for j, a in enumerate(c.coeffs) if a != 0]
+            nz = [j for j, a in enumerate(c.coeffs) if a]
             if not nz:
                 bad_eq = c.relation == "=" and c.rhs != 0
                 bad_ge = c.relation == ">=" and c.rhs > 0
                 if bad_eq or bad_ge:
                     self.infeasible_early = True
                 continue
-            if c.relation == ">=" and len(nz) == 1 and nz[0][1] > 0:
-                j, a = nz[0]
-                bound = c.rhs / a
+            if c.relation == ">=" and len(nz) == 1 and c.coeffs[nz[0]] > 0:
+                j = nz[0]
+                bound = Fraction(c.rhs, c.coeffs[j])
                 if self.lower[j] is None or bound > self.lower[j]:
                     self.lower[j] = bound
                 continue
-            kept.append((list(c.coeffs), c.relation, c.rhs))
+            kept.append((c.coeffs, c.relation, c.rhs))
         self.rows = kept
 
     def _build(self) -> None:
@@ -129,70 +150,45 @@ class _Simplex:
                 cols.append(("pos", j))
                 cols.append(("neg", j))
         self.cols = cols
-        surplus_base = len(cols)
         n_surplus = sum(1 for _, rel, _ in self.rows if rel == ">=")
-        self.width = surplus_base + n_surplus  # non-artificial columns
+        self.width = len(cols) + n_surplus  # non-artificial columns
+        shifts = [(j, b) for j, b in enumerate(self.lower) if b]
 
-        int_rows: list[list[int]] = []
-        rels: list[str] = []
-        surplus_at = surplus_base
+        # Scale each row by the denominator of its shifted rhs and flip it
+        # to a nonnegative rhs (m < 0). A flipped ">=" row starts with its
+        # surplus column basic (each surplus column is nonzero only in its
+        # own row); every other row gets an artificial.
+        built = []
+        surplus = len(cols)
         for coeffs, rel, rhs in self.rows:
-            shift = sum(
-                (coeffs[j] * self.lower[j] for j in range(self.n) if self.lower[j] is not None),
-                Fraction(0),
-            )
-            rhs2 = rhs - shift
-            entries: list[Fraction] = []
-            for kind, j in cols:
-                a = coeffs[j]
-                entries.append(a if kind != "neg" else -a)
-            scale = lcm(rhs2.denominator, *(e.denominator for e in entries)) if entries else 1
-            row = [int(e * scale) for e in entries] + [0] * n_surplus + [int(rhs2 * scale)]
-            if rel == ">=":
-                row[surplus_at] = -scale
-                surplus_at += 1
-            int_rows.append(row)
-            rels.append(rel)
-
-        # Flip rows to nonnegative rhs; flipped ">=" rows start with their
-        # surplus column basic, everything else gets an artificial.
-        self.basis: list[int] = []
-        artificial_cols: list[int] = []
-        art_rows: list[int] = []
-        next_col = self.width
-        for i, row in enumerate(int_rows):
-            if row[-1] < 0:
-                int_rows[i] = row = [-x for x in row]
-            basic = None
-            for q in range(len(cols), self.width):
-                if row[q] > 0 and all(other[q] == 0 for other in int_rows if other is not row):
-                    basic = q
-                    break
-            if basic is None:
-                basic = next_col
-                next_col += 1
-                artificial_cols.append(basic)
-                art_rows.append(i)
-            self.basis.append(basic)
-        n_art = len(artificial_cols)
-        for i, row in enumerate(int_rows):
-            rhs_val = row.pop()
-            row.extend([0] * n_art)
-            row.append(rhs_val)
-            if self.basis[i] >= self.width:
-                row[self.basis[i]] = 1
-        self.T = int_rows
-        self.D = 1
+            rhs2 = rhs - sum(coeffs[j] * b for j, b in shifts)
+            m = -rhs2.denominator if rhs2 < 0 else rhs2.denominator
+            row = [m * coeffs[j] if kind != "neg" else -m * coeffs[j] for kind, j in cols]
+            built.append((row, surplus if rel == ">=" else None, m, abs(rhs2.numerator)))
+            surplus += rel == ">="
+        n_art = sum(1 for _, s, m, _ in built if s is None or m > 0)
         self.total_cols = self.width + n_art
-        self.artificial = set(artificial_cols)
+        self.T: list[list[int]] = []
+        self.basis: list[int] = []
+        art_rows: list[int] = []
+        for row, s, m, rhs in built:
+            row += [0] * (self.total_cols - len(cols))
+            row.append(rhs)
+            if s is not None:
+                row[s] = -m
+            if s is None or m > 0:
+                s = self.width + len(art_rows)
+                row[s] = 1
+                art_rows.append(len(self.T))
+            self.T.append(row)
+            self.basis.append(s)
+        self.D = 1
+        self.artificial = set(range(self.width, self.total_cols))
 
         # Phase-1 cost row: minimize the artificial sum.
-        z1 = [0] * (self.total_cols + 1)
-        for q in self.artificial:
-            z1[q] = 1
+        z1 = [0] * self.width + [1] * n_art + [0]
         for i in art_rows:
-            for j in range(self.total_cols + 1):
-                z1[j] -= self.T[i][j]
+            z1 = [z - t for z, t in zip(z1, self.T[i])]
         self.z1 = z1
 
         # Phase-2 cost row (minimize -objective), priced for the initial
@@ -201,32 +197,28 @@ class _Simplex:
         self.obj_scale = 1
         self.obj_offset = Fraction(0)
         if self.objective is not None:
-            c = [Fraction(x) for x in self.objective]
-            self.obj_scale = lcm(1, *(x.denominator for x in c))
-            self.obj_offset = sum(
-                (c[j] * self.lower[j] for j in range(self.n) if self.lower[j] is not None),
-                Fraction(0),
-            )
-            for col, (kind, j) in enumerate(self.cols):
-                coeff = -c[j] * self.obj_scale
-                z2[col] = int(coeff if kind != "neg" else -coeff)
+            c, self.obj_scale = _scaled(self.objective)
+            self.obj_offset = Fraction(sum(c[j] * b for j, b in shifts), self.obj_scale)
+            for col, (kind, j) in enumerate(cols):
+                z2[col] = -c[j] if kind != "neg" else c[j]
         self.z2 = z2
 
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, p: int, q: int) -> None:
-        T = self.T
-        piv = T[p][q]
+        rowp = self.T[p]
+        piv = rowp[q]
         if piv <= 0:
             raise AssertionError(f"pivot element {piv} is not positive")
-        rowp = T[p]
         D = self.D
-        for row in (*T, self.z1, self.z2):
-            if row is rowp:
-                continue
+        for row in (*self.T, self.z1, self.z2):
             f = row[q]
-            for j in range(len(row)):
-                row[j] = (row[j] * piv - f * rowp[j]) // D
+            if row is rowp or (not f and piv == D):
+                continue
+            if f:
+                row[:] = [(a * piv - f * b) // D for a, b in zip(row, rowp)]
+            else:
+                row[:] = [a * piv // D for a in row]
         self.D = piv
         self.basis[p] = q
 
@@ -265,23 +257,20 @@ class _Simplex:
             self._pivot(p, q)
 
     def _drive_out_artificials(self) -> None:
-        for i in list(range(len(self.T))):
-            if i >= len(self.T):
-                break
-            if self.basis[i] not in self.artificial:
-                continue
-            pivot_col = None
-            for j in range(self.width):
-                if self.T[i][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                del self.T[i]
-                del self.basis[i]
-                return self._drive_out_artificials()
-            if self.T[i][pivot_col] < 0:
-                self.T[i] = [-x for x in self.T[i]]
-            self._pivot(i, pivot_col)
+        # Pivot each artificial still basic (at value 0) out on any
+        # structural or surplus column; a row with none is redundant.
+        i = 0
+        while i < len(self.T):
+            row = self.T[i]
+            if self.basis[i] in self.artificial:
+                pivot_col = next((j for j in range(self.width) if row[j]), None)
+                if pivot_col is None:
+                    del self.T[i], self.basis[i]
+                    continue
+                if row[pivot_col] < 0:
+                    row[:] = [-x for x in row]
+                self._pivot(i, pivot_col)
+            i += 1
 
     # -- extraction ----------------------------------------------------------
 
@@ -301,12 +290,7 @@ class _Simplex:
             # Rows never pivoted keep their original scaling, so divide by
             # the basic coefficient rather than by D.
             val = Fraction(self.T[i][-1], self.T[i][q])
-            if kind == "shift":
-                values[j] += val
-            elif kind == "pos":
-                values[j] += val
-            else:
-                values[j] -= val
+            values[j] += val if kind != "neg" else -val
         return {v: values[j] for j, v in enumerate(self.sys.variables)}
 
     def solve(self) -> LpOutcome:
@@ -340,7 +324,7 @@ def lp_maximize(sys_: LinearConstraintSystem, objective: Sequence) -> LpOutcome:
         raise LpError(
             f"objective has {len(objective)} coefficients for {len(sys_.variables)} variables"
         )
-    return _Simplex(sys_, [Fraction(c) for c in objective]).solve()
+    return _Simplex(sys_, objective).solve()
 
 
 def max_support_solution(
@@ -366,23 +350,19 @@ def max_support_solution(
         indicators.append(t)
     n = len(sys_.variables)
     variables = tuple(sys_.variables) + tuple(indicators)
-    rows: list[Constraint] = [
-        Constraint(c.coeffs + (Fraction(0),) * n, c.relation, c.rhs) for c in sys_.constraints
-    ]
-    zero = [Fraction(0)] * (2 * n)
+    pad = (0,) * n
+    rows = [Constraint(c.coeffs + pad, c.relation, c.rhs) for c in sys_.constraints]
     for i in range(n):
-        le_x = list(zero)
-        le_x[i] = Fraction(1)
-        le_x[n + i] = Fraction(-1)
-        rows.append(Constraint(tuple(le_x), ">=", Fraction(0)))  # x_i - t_i >= 0
-        nonneg = list(zero)
-        nonneg[n + i] = Fraction(1)
-        rows.append(Constraint(tuple(nonneg), ">=", Fraction(0)))
-        cap = list(zero)
-        cap[n + i] = Fraction(-1)
-        rows.append(Constraint(tuple(cap), ">=", Fraction(-1)))  # t_i <= 1
+        le_x = [0] * (2 * n)
+        le_x[i], le_x[n + i] = 1, -1
+        rows.append(Constraint(tuple(le_x), ">=", 0))  # x_i - t_i >= 0
+        t_only = [0] * (2 * n)
+        t_only[n + i] = 1
+        rows.append(Constraint(tuple(t_only), ">=", 0))  # t_i >= 0
+        t_only[n + i] = -1
+        rows.append(Constraint(tuple(t_only), ">=", -1))  # t_i <= 1
     extended = LinearConstraintSystem(variables, tuple(rows))
-    objective = [Fraction(0)] * n + [Fraction(1)] * n
+    objective = [0] * n + [1] * n
     out = lp_maximize(extended, objective)
     if out.status != "feasible":
         return LpOutcome("infeasible"), frozenset()
@@ -397,5 +377,5 @@ def integer_scale(assignment: Mapping[str, Fraction]) -> dict[str, int]:
     for v, x in values.items():
         if x < 0:
             raise LpError(f"integer_scale expects nonnegative values, {v} = {x}")
-    factor = lcm(1, *(x.denominator for x in values.values()))
+    factor = lcm(1, *[x.denominator for x in values.values()])
     return {v: int(x * factor) for v, x in values.items()}

@@ -23,11 +23,11 @@ WeightVector = tuple[int, ...]
 
 
 def vector_add(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def vector_sub(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple([x - y for x, y in zip(a, b)])
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class GameStructure:
         return self.state_by_id[state_id].owner
 
     def states_of(self, player: int) -> tuple[str, ...]:
-        return tuple(s.id for s in sorted(self.states, key=lambda s: s.id) if s.owner == player)
+        return tuple([s.id for s in sorted(self.states, key=lambda s: s.id) if s.owner == player])
 
     @cached_property
     def max_abs_weight(self) -> int:
@@ -215,7 +215,7 @@ def mean_payoff_of_lasso(g: GameStructure, lasso: Lasso) -> tuple[Fraction, ...]
         for d, c in enumerate(g.edge_by_id[eid].weight):
             total[d] += c
     n = len(lasso.cycle)
-    return tuple(Fraction(t, n) for t in total)
+    return tuple([Fraction(t, n) for t in total])
 
 
 def shift_weights(g: GameStructure, v: WeightVector) -> GameStructure:
@@ -224,7 +224,7 @@ def shift_weights(g: GameStructure, v: WeightVector) -> GameStructure:
         raise DimensionError(f"shift vector has {len(v)} components, game dimension is {g.dimension}")
     if not all(isinstance(c, int) for c in v):
         raise DimensionError("shift vector components must be integers")
-    edges = tuple(Edge(e.id, e.src, e.dst, vector_sub(e.weight, v)) for e in g.edges)
+    edges = tuple([Edge(e.id, e.src, e.dst, vector_sub(e.weight, v)) for e in g.edges])
     return GameStructure(g.dimension, g.states, g.init, edges)
 
 
@@ -232,7 +232,7 @@ def scale_weights(g: GameStructure, c: int) -> GameStructure:
     """Multiply every edge weight by an integer factor c >= 1."""
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"scale factor must be an integer >= 1, got {c!r}")
-    edges = tuple(Edge(e.id, e.src, e.dst, tuple(c * w for w in e.weight)) for e in g.edges)
+    edges = tuple([Edge(e.id, e.src, e.dst, tuple([c * w for w in e.weight])) for e in g.edges])
     return GameStructure(g.dimension, g.states, g.init, edges)
 
 

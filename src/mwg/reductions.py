@@ -95,7 +95,7 @@ def encode_3sat_two_player(f: CnfFormula) -> GameStructure:
     if not f.clauses:
         raise ValueError("formula must have at least one clause")
     k = 2 * f.variables
-    zero = tuple(0 for _ in range(k))
+    zero = tuple([0 for _ in range(k)])
     states = [State("init", 1)]
     edges = []
     occurring = sorted({lit for clause in f.clauses for lit in clause}, key=_literal_state)
@@ -196,11 +196,11 @@ def encode_3sat_memoryless(f: CnfFormula) -> GameStructure:
     m = len(f.clauses)
     states = []
     edges = []
-    zero = tuple(0 for _ in range(m))
+    zero = tuple([0 for _ in range(m)])
     for i in range(1, n + 1):
         states += [State(f"v{i}", 1), State(f"v{i}t", 1), State(f"v{i}f", 1)]
-        sat_true = tuple(1 if i in clause else 0 for clause in f.clauses)
-        sat_false = tuple(1 if -i in clause else 0 for clause in f.clauses)
+        sat_true = tuple([1 if i in clause else 0 for clause in f.clauses])
+        sat_false = tuple([1 if -i in clause else 0 for clause in f.clauses])
         edges += [
             Edge(f"sett{i}", f"v{i}", f"v{i}t", sat_true),
             Edge(f"setf{i}", f"v{i}", f"v{i}f", sat_false),
@@ -208,7 +208,7 @@ def encode_3sat_memoryless(f: CnfFormula) -> GameStructure:
             Edge(f"advf{i}", f"v{i}f", f"v{i + 1}", zero),
         ]
     states.append(State(f"v{n + 1}", 1))
-    edges.append(Edge("close", f"v{n + 1}", "v1", tuple(-1 for _ in range(m))))
+    edges.append(Edge("close", f"v{n + 1}", "v1", tuple([-1 for _ in range(m)])))
     return GameStructure(m, tuple(states), "v1", tuple(edges))
 
 

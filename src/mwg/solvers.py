@@ -75,7 +75,7 @@ class CoverWitnesses:
     def __iter__(self) -> Iterator[tuple[MemorylessStrategy, Circuit]]:
         states = [s for s, _ in self._choices]
         circuits = [(cube, Circuit.from_walk(lasso.cycle)) for cube, lasso in self._cover]
-        for combo in product(*(edges for _, edges in self._choices)):
+        for combo in product(*[edges for _, edges in self._choices]):
             choice = dict(zip(states, combo))
             for cube, circuit in circuits:
                 if all(choice.get(s) == e for s, e in cube.items()):
@@ -138,8 +138,8 @@ def as_multigraph(g: GameStructure, s: Optional[MemorylessStrategy] = None) -> M
     """View a game as a plain multigraph (ownership forgotten), sourced at
     the initial state. With a checked memoryless strategy s, only the
     chosen edge survives at the states of s.player."""
-    edges = tuple(e for e in g.edges if s is None or s.choice.get(e.src, e.id) == e.id)
-    return MultiGraph(g.dimension, tuple(st.id for st in g.states), edges, g.init)
+    edges = tuple([e for e in g.edges if s is None or s.choice.get(e.src, e.id) == e.id])
+    return MultiGraph(g.dimension, tuple([st.id for st in g.states]), edges, g.init)
 
 
 def _require_valid(g: GameStructure) -> None:
@@ -150,7 +150,7 @@ def _require_valid(g: GameStructure) -> None:
 
 def _choice_space(g: GameStructure, player: int) -> tuple[list[str], list[tuple[str, ...]]]:
     states = list(g.states_of(player))
-    options = [tuple(e.id for e in g.out_edges(s)) for s in states]
+    options = [tuple([e.id for e in g.out_edges(s)]) for s in states]
     return states, options
 
 
@@ -275,7 +275,7 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
             if key not in rep or exp < rep[key]:
                 rep[key] = exp
         items = sorted(rep.items())
-        shape = tuple(t for t, _ in items)
+        shape = tuple([t for t, _ in items])
         if shape in cache:
             abstract = cache[shape]
         else:
@@ -298,7 +298,7 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
         srcs = {rec_of_edge[eid][0] for eid in stem + walk}
         used = sorted(position[v] for v in srcs if v in position)
         cover.append(({p2_states[i]: options[i][pick[i]] for i in used}, lasso))
-        return tuple((i, pick[i]) for i in used)
+        return tuple([(i, pick[i]) for i in used])
 
     pick = _first_uncovered([len(o) for o in options], (), settle)
     if pick is not None:
@@ -306,7 +306,8 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
         return Verdict(False, spoiler=MemorylessStrategy(2, spoiler))
     n = len(graphs.reachable(init, out_pairs.__getitem__))
     return Verdict(
-        True, cover=tuple(cover), credit=sufficient_credit(g, n), choices=tuple(zip(p2_states, options))
+        True, cover=tuple(cover), credit=sufficient_credit(g, n),
+        choices=tuple(list(zip(p2_states, options))),
     )
 
 
@@ -323,7 +324,7 @@ def threshold_shifted(g: GameStructure, v: Sequence) -> GameStructure:
     vals = _as_fractions(v, g.dimension)
     c = lcm(*[x.denominator for x in vals]) if vals else 1
     scaled = scale_weights(g, c)
-    shift = tuple(int(c * x) for x in vals)
+    shift = tuple([int(c * x) for x in vals])
     return shift_weights(scaled, shift)
 
 
@@ -344,7 +345,7 @@ def sufficient_credit(g: GameStructure, n: int) -> WeightVector:
     sufficient. With n the states reachable in g, it is the advisory
     credit of a Yes from solve_unknown_credit: the cover, not this
     vector, is the verifiable part of that verdict."""
-    return tuple(n * g.max_abs_weight for _ in range(g.dimension))
+    return tuple([n * g.max_abs_weight for _ in range(g.dimension)])
 
 
 def verify_p1_certificate(
@@ -449,9 +450,9 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
                 break
             at = walk[-1].dst
         else:
-            if all(sum(c) >= 0 for c in zip(*(e.weight for e in walk[seen[at] :]))):
+            if all(sum(c) >= 0 for c in zip(*[e.weight for e in walk[seen[at] :]])):
                 return None
-            return tuple((j, pick[j]) for j in sorted(used))
+            return tuple([(j, pick[j]) for j in sorted(used)])
         # Player 2 branches: search the graph for a negative cycle.
         step = {s: opts[i] for (s, opts), i in zip(multi, pick)}
         sub = as_multigraph(g, MemorylessStrategy(1, {s: e.id for s, e in step.items()}))
@@ -467,7 +468,7 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         while e is not None:
             srcs.append(e.src)
             e = parent[e.src]
-        return tuple((j, pick[j]) for j in sorted(position[s] for s in srcs if s in position))
+        return tuple([(j, pick[j]) for j in sorted(position[s] for s in srcs if s in position)])
 
     pick = _first_uncovered([len(opts) for _, opts in multi], (), settle)
     if pick is None:
@@ -516,11 +517,11 @@ def clamped_fixed_credit_oracle(g: GameStructure, v0: WeightVector, cap: int) ->
         sid, energy = vtx
         safe, out = 0, g.out_edges(sid)
         for e in out:
-            ne = tuple(c + w for c, w in zip(energy, e.weight))
+            ne = tuple([c + w for c, w in zip(energy, e.weight)])
             if min(ne) < 0:
                 continue  # losing move
             safe += 1
-            tgt = (e.dst, tuple(min(c, cap) for c in ne))
+            tgt = (e.dst, tuple([min(c, cap) for c in ne]))
             if tgt not in preds:
                 preds[tgt] = []
                 queue.append(tgt)
@@ -578,10 +579,10 @@ def search_finite_memory_strategy(
     state_ids = [s.id for s in g.states]
     p1_states = list(g.states_of(1))
     for size in range(1, max_memory + 1):
-        memory = tuple(f"m{i}" for i in range(size))
+        memory = tuple([f"m{i}" for i in range(size)])
         update_keys = [(m, s) for m in memory for s in state_ids]
         action_keys = [(m, s) for m in memory for s in p1_states]
-        action_options = [tuple(e.id for e in g.out_edges(s)) for _, s in action_keys]
+        action_options = [tuple([e.id for e in g.out_edges(s)]) for _, s in action_keys]
         seen_machines: set[tuple] = set()
         for upd_combo in product(memory, repeat=len(update_keys)):
             update = dict(zip(update_keys, upd_combo))

@@ -350,6 +350,39 @@ def rand_multigraph(
     return MultiGraph(k, vs, es, vs[0])
 
 
+def rand_decoy(
+    rng: random.Random, max_cycle: int = 3, max_k: int = 3, lo: int = -2, hi: int = 2
+) -> MultiGraph:
+    """Two vertex-disjoint cycles, each negative alone in some dimension,
+    whose sum is nonnegative (zero in the dimensions its slack leaves at
+    0), joined by one edge each way. The circulation LP is then feasible
+    on a disconnected support, the shape on which the circuit search
+    needs the maximal support; whether a nonnegative circuit exists turns
+    on the joining edges."""
+    k = rng.randint(2, max_k)
+    while True:
+        a = [tuple(rng.randint(lo, hi) for _ in range(k)) for _ in range(rng.randint(1, max_cycle))]
+        sum_a = [sum(w[d] for w in a) for d in range(k)]
+        sum_b = [rng.randint(0, 1) - x for x in sum_a]
+        if min(sum_a) < 0 and min(sum_b) < 0:
+            break
+    b = [tuple(rng.randint(lo, hi) for _ in range(k)) for _ in range(rng.randint(1, max_cycle) - 1)]
+    b.append(tuple(t - sum(w[d] for w in b) for d, t in enumerate(sum_b)))
+    vs = tuple(f"v{i}" for i in range(len(a) + len(b)))
+    ring_a, ring_b = vs[: len(a)], vs[len(a) :]
+    arcs = [
+        (ring[i], ring[(i + 1) % len(ring)], w)
+        for ring, ws in ((ring_a, a), (ring_b, b))
+        for i, w in enumerate(ws)
+    ]
+    x, y = rng.choice(ring_a), rng.choice(ring_b)
+    for src, dst in ((x, y), (y, x)):
+        arcs.append((src, dst, tuple(rng.randint(lo, hi) for _ in range(k))))
+    rng.shuffle(arcs)
+    edges = tuple(GraphEdge(f"e{i}", src, dst, w) for i, (src, dst, w) in enumerate(arcs))
+    return MultiGraph(k, vs, edges, vs[0])
+
+
 def rand_game(
     rng: random.Random,
     max_states: int = 5,

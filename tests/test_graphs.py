@@ -26,10 +26,12 @@ from mwg import (
     validate_circuit,
     zero_circuit,
 )
+from mwg import graphs
 from oracles import (
     bounded_circulation_oracle,
     has_negative_simple_cycle,
     min_mean_by_enumeration,
+    rand_decoy,
     rand_multigraph,
     simple_cycles,
     with_unit_drain_loops,
@@ -398,27 +400,52 @@ class TestBoundedOracle:
             bounded_circulation_oracle(g, 1, "zero")
 
 
+def assert_one_sided_agreement(g: MultiGraph) -> None:
+    """Every circuit the bounded oracle finds, the LP search finds too, and
+    every circuit the LP search returns is valid, qualifying and (in
+    nonnegative mode) reachable from v0."""
+    want_zero = bounded_circulation_oracle(g, 12, "zero")
+    got_zero = zero_circuit(g)
+    if want_zero is not None:
+        assert got_zero is not None
+    if got_zero is not None:
+        validate_circuit(g, got_zero)
+        assert circuit_weight(g, got_zero) == (0,) * g.dimension
+    sub = reachable_subgraph(g, "v0")
+    want_nn = bounded_circulation_oracle(sub, 12, "nonnegative")
+    got_nn = nonnegative_circuit(g, "v0")
+    if want_nn is not None:
+        assert got_nn is not None
+    if got_nn is not None:
+        validate_circuit(g, got_nn)
+        assert all(x >= 0 for x in circuit_weight(g, got_nn))
+        assert {e.id for e in sub.edges} >= set(got_nn.multiplicity)
+
+
 class TestCircuitSearchAgainstOracle:
     def test_one_sided_agreement(self):
         rng = random.Random(7)
         for _ in range(120):
-            g = rand_multigraph(rng)
-            want_zero = bounded_circulation_oracle(g, 12, "zero")
-            got_zero = zero_circuit(g)
-            if want_zero is not None:
-                assert got_zero is not None
-            if got_zero is not None:
-                validate_circuit(g, got_zero)
-                assert circuit_weight(g, got_zero) == (0,) * g.dimension
-            sub = reachable_subgraph(g, "v0")
-            want_nn = bounded_circulation_oracle(sub, 12, "nonnegative")
-            got_nn = nonnegative_circuit(g, "v0")
-            if want_nn is not None:
-                assert got_nn is not None
-            if got_nn is not None:
-                validate_circuit(g, got_nn)
-                assert all(x >= 0 for x in circuit_weight(g, got_nn))
-                assert {e.id for e in sub.edges} >= set(got_nn.multiplicity)
+            assert_one_sided_agreement(rand_multigraph(rng))
+
+    @pytest.mark.slow
+    def test_one_sided_agreement_large(self, monkeypatch):
+        # Random graphs rarely leave a disconnected support; the decoys
+        # always do, so they drive the second LP, max_support_solution.
+        real = graphs.max_support_solution
+        calls = []
+
+        def counted(sys_):
+            calls.append(len(sys_.variables))
+            return real(sys_)
+
+        monkeypatch.setattr(graphs, "max_support_solution", counted)
+        rng = random.Random(1009)
+        for _ in range(1000):
+            assert_one_sided_agreement(rand_multigraph(rng))
+        for _ in range(200):
+            assert_one_sided_agreement(rand_decoy(rng))
+        assert len(calls) >= 50
 
     def test_gadget_route_matches_direct(self):
         rng = random.Random(29)

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from mwg import LpError
 from mwg.lp import (
+    Constraint,
+    LinearConstraintSystem,
+    constraint,
     integer_scale,
     lp_feasible,
     lp_maximize,
@@ -190,6 +193,8 @@ def test_malformed_system_rejected():
         lp_feasible(system(["x"], [((1, 2), ">=", 0)]))
     with pytest.raises(LpError):
         lp_maximize(system(["x"], [((1,), ">=", 0)]), [1, 2])
+    with pytest.raises(LpError):
+        max_support_solution(system(["x"], [((1, 2), ">=", 0)]))
 
 
 @given(st.data())
@@ -243,6 +248,91 @@ def test_maximum_dominates_lattice_points():
         assert out.objective_value >= best_lattice
 
 
+def test_many_redundant_rows_need_no_recursion():
+    # Phase 1 leaves 1,499 copies of x - y = 0 redundant; each is deleted
+    # in one loop, with no call per deleted row.
+    rows = [((1, -1), "=", 0)] * 1500 + [((1, 1), ">=", 1), ((1, 0), ">=", 0), ((0, 1), ">=", 0)]
+    sys_ = system(["x", "y"], rows)
+    out = lp_feasible(sys_)
+    assert out.status == "feasible"
+    assert satisfies(sys_, out.assignment)
+
+
+def test_constraint_rows_are_integers():
+    cases = [
+        ((1, -2, 0), 3, (1, -2, 0), 3),
+        ((Fraction(1, 2), Fraction(-1, 3), 0), Fraction(5, 4), (6, -4, 0), 15),
+        ((Fraction(4, 2), 6), Fraction(8, 4), (2, 6), 2),
+        ((True, False, 2), True, (1, 0, 2), 1),
+    ]
+    for coeffs, rhs, want_coeffs, want_rhs in cases:
+        for c in (constraint(coeffs, ">=", rhs), Constraint(coeffs, ">=", rhs)):
+            assert (c.coeffs, c.rhs) == (want_coeffs, want_rhs)
+            assert all(type(x) is int for x in (*c.coeffs, c.rhs))
+
+
+def test_directly_built_rational_constraints_solve_exactly():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = [((half, third), ">=", 1), ((-1, 0), ">=", -third), ((1, 0), ">=", 0), ((0, 1), ">=", 0)]
+    sys_ = LinearConstraintSystem(("x", "y"), tuple(Constraint(c, rel, r) for c, rel, r in rows))
+    out = lp_feasible(sys_)
+    assert out.status == "feasible"
+    assert satisfies(sys_, out.assignment)
+    assert lp_maximize(sys_, [-1, -1]).objective_value == -third - Fraction(5, 2)
+
+
+def test_bool_entries_behave_like_ints():
+    rows = [((1, 1), ">=", 1), ((1, 0), ">=", 0), ((0, 1), ">=", 0), ((-1, 0), ">=", -1)]
+    as_bools = [(tuple(bool(a) if a in (0, 1) else a for a in c), rel, r) for c, rel, r in rows]
+    ints, bools = system(["x", "y"], rows), system(["x", "y"], as_bools)
+    assert bools == ints
+    assert lp_maximize(bools, [True, False]) == lp_maximize(ints, [1, 0])
+
+
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_multiplier = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_scaling_a_row_keeps_the_lp_answers(data):
+    # Rows are scaled to integers at construction, so a row and its
+    # positive multiple describe the same half-space or hyperplane. Which
+    # feasible point phase 1 reaches may differ (each row's scale weighs
+    # its artificial), but feasibility, the optimum and the maximal
+    # support may not, and every point must satisfy the unscaled system.
+    n = data.draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(n)]
+    vector = st.lists(_rational, min_size=n, max_size=n)
+    rows = data.draw(
+        st.lists(st.tuples(vector, st.sampled_from(["=", ">="]), _rational), min_size=1, max_size=5)
+    )
+    objective = data.draw(vector)
+    # The shape max_support_solution requires: a homogeneous cone in the
+    # nonnegative orthant, cut by one total-sum bound.
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    cone = [(c, rel, 0) for c, rel, _ in rows] + [([1] * n, ">=", 1)]
+    cone += [(u, ">=", 0) for u in unit]
+    for base in (rows, cone):
+        i = data.draw(st.integers(0, len(base) - 1))
+        q = data.draw(_multiplier)
+        c, rel, r = base[i]
+        scaled = base[:i] + [([q * a for a in c], rel, q * r)] + base[i + 1 :]
+        sys_, sys_q = system(names, base), system(names, scaled)
+        for a, b in (
+            (lp_feasible(sys_), lp_feasible(sys_q)),
+            (lp_maximize(sys_, objective), lp_maximize(sys_q, objective)),
+        ):
+            assert (a.status, a.objective_value) == (b.status, b.objective_value)
+            if a.status == "feasible":
+                assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)
+        if base is cone:
+            (a, support_a), (b, support_b) = max_support_solution(sys_), max_support_solution(sys_q)
+            assert (a.status, support_a) == (b.status, support_b)
+            if a.status == "feasible":
+                assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips assert statements, so no guard may be one.
     package = Path(__file__).resolve().parent.parent / "src" / "mwg"
@@ -265,6 +355,30 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "mwg" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_package_builds_no_tuple_from_an_iterator():
+    """CPython sizes a tuple built from a generator, map, filter or zip
+    at ten slots and shrinks it at the end, so the tuple is freed onto the
+    free list of its final size without having been taken from it. Every
+    such call leaves one block behind, up to 2,000 per size, and only a
+    full collection, which a solve may never trigger, gives them back: a
+    long-running process grows from pass to pass. Build from a list."""
+    def lazy(arg):
+        if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
+            return arg.func.id in ("map", "filter", "zip")
+        return isinstance(arg, ast.GeneratorExp)
+
+    package = Path(__file__).resolve().parent.parent / "src" / "mwg"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            args = [a.value for a in node.args if isinstance(a, ast.Starred)]
+            if isinstance(node.func, ast.Name) and node.func.id == "tuple":
+                args += node.args
+            bad = [arg for arg in args if lazy(arg)]
+            assert not bad, f"{path.name}:{node.lineno} builds a tuple from an iterator"
 
 
 def test_import_does_not_load_numpy():
