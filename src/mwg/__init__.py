@@ -22,14 +22,10 @@ from .graphs import (
     GraphEdge,
     MultiGraph,
     circuit_weight,
-    dominance,
-    eulerian_circuit_from_circulation,
-    min_mean_cycle,
     negative_cycle_in_dimension,
     nonnegative_circuit,
     reachable,
     reachable_subgraph,
-    sccs,
     validate_circuit,
     zero_circuit,
 )
@@ -43,14 +39,10 @@ from .model import (
     Violation,
     as_moore,
     check_strategy,
-    energy_level,
-    mean_payoff_of_lasso,
     product_with_strategy,
     scale_weights,
     shift_weights,
-    strategies_equal,
     validate_game,
-    vector_add,
     vector_sub,
 )
 from .reductions import (
@@ -65,7 +57,6 @@ from .reductions import (
     encode_knapsack,
 )
 from .formats import (
-    games_equal,
     parse_certificate,
     parse_dimacs,
     parse_game,
@@ -80,7 +71,6 @@ from .solvers import (
     Verdict,
     as_multigraph,
     clamped_fixed_credit_oracle,
-    enumerate_p2_memoryless,
     search_finite_memory_strategy,
     solve_meanpayoff_threshold,
     solve_memoryless_p1_energy,

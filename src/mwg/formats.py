@@ -131,16 +131,6 @@ def write_game(g: GameStructure) -> str:
     return "\n".join(out) + "\n"
 
 
-def games_equal(a: GameStructure, b: GameStructure) -> bool:
-    """Structural equality up to declaration order."""
-    return (
-        a.dimension == b.dimension
-        and a.init == b.init
-        and sorted(a.states, key=lambda s: s.id) == sorted(b.states, key=lambda s: s.id)
-        and sorted(a.edges, key=lambda e: e.id) == sorted(b.edges, key=lambda e: e.id)
-    )
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF restricted to exactly three literals per clause.
     Comment lines start with `c`; the header is `p cnf <vars> <clauses>`;

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -62,10 +61,6 @@ class Circuit:
         return Circuit(tuple(ids), dict(Counter(ids)))
 
 
-# A circulation is a plain mapping from edge id to a nonnegative count.
-Circulation = Mapping[EdgeId, int]
-
-
 def validate_circuit(g: MultiGraph, c: Circuit) -> None:
     """Raise WalkError unless c is a closed connected walk in g with a
     multiplicity map matching its occurrence counts."""
@@ -92,13 +87,6 @@ def circuit_weight(g: MultiGraph, c: Circuit) -> tuple[int, ...]:
         for d, w in enumerate(by_id[eid].weight):
             total[d] += n * w
     return tuple(total)
-
-
-def dominance(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise a <= b (the wqo ordering on credit vectors)."""
-    if len(a) != len(b):
-        raise DimensionError(f"vectors of length {len(a)} and {len(b)} are not comparable")
-    return all(x <= y for x, y in zip(a, b))
 
 
 # -- strongly connected components ------------------------------------------
@@ -147,15 +135,6 @@ def _tarjan(vertices: Sequence[Vertex], succ: Mapping[Vertex, list[Vertex]]) -> 
                         break
                 out.append(comp)
     return out
-
-
-def sccs(g: MultiGraph) -> list[list[Vertex]]:
-    """Strongly connected components, each sorted, ordered by smallest member."""
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in g.vertices}
-    for e in sorted(g.edges, key=lambda e: repr(e.id)):
-        succ.setdefault(e.src, []).append(e.dst)
-    comps = _tarjan(sorted(g.vertices), succ)
-    return sorted((sorted(c) for c in comps), key=lambda c: c[0])
 
 
 def reachable(source: Vertex, succ: Callable[[Vertex], Iterable[tuple[object, Vertex]]]) -> dict:
@@ -402,52 +381,19 @@ def nonnegative_circuit(g: MultiGraph, source: Vertex) -> Circuit | None:
     return Circuit.from_walk(walk) if walk is not None else None
 
 
-def eulerian_circuit_from_circulation(g: MultiGraph, circulation: Circulation) -> Circuit:
-    """Closed walk using each edge exactly its circulation count of times.
-
-    The circulation must be balanced at every vertex, total at least one,
-    and weakly connected in its support; otherwise WalkError is raised.
-    """
-    by_id = {e.id: e for e in g.edges}
-    counts: dict[EdgeId, int] = {}
-    for eid, n in circulation.items():
-        if eid not in by_id:
-            raise WalkError(f"unknown edge id {eid!r} in circulation")
-        if not isinstance(n, int) or n < 0:
-            raise WalkError(f"multiplicity of {eid!r} must be a nonnegative integer")
-        if n > 0:
-            counts[eid] = n
-    if not counts:
-        raise WalkError("circulation must use at least one edge")
-    balance: dict[Vertex, int] = {}
-    for eid, n in counts.items():
-        e = by_id[eid]
-        balance[e.dst] = balance.get(e.dst, 0) + n
-        balance[e.src] = balance.get(e.src, 0) - n
-    if any(balance.values()):
-        raise WalkError("circulation is not balanced")
-    recs = [(by_id[eid].src, by_id[eid].dst, by_id[eid].weight, (eid,)) for eid in sorted(counts, key=repr)]
-    walk = _euler_walk(recs, [counts[r[3][0]] for r in recs])
-    return Circuit.from_walk([recs[i][3][0] for i in walk])
-
-
 # -- exact shortest-walk table (Bellman-Ford in array form) ------------------
 
 
-def _walk_table(n: int, recs: list[tuple[int, int, int, EdgeId]], start: int | None):
-    """D[k][v] = min weight of a walk with exactly k edges ending at v.
+def _walk_table(n: int, recs: list[tuple[int, int, int, EdgeId]]):
+    """D[k][v] = min weight of a walk with exactly k edges ending at v,
+    every vertex a zero-weight origin (super-source).
 
-    recs are (src_index, dst_index, scalar_weight, edge_id). With start
-    None every vertex is a zero-weight origin (super-source); otherwise
-    only start is. Also returns parent pointers P[k][v] = (src_index,
-    rec_index) realizing D[k][v]. None entries mean unreachable.
+    recs are (src_index, dst_index, scalar_weight, edge_id). Also returns
+    parent pointers P[k][v] = (src_index, rec_index) realizing D[k][v].
+    None entries mean unreachable.
     """
-    D: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
+    D: list[list[int | None]] = [[0] * n] + [[None] * n for _ in range(n)]
     P: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n + 1)]
-    if start is None:
-        D[0] = [0] * n
-    else:
-        D[0][start] = 0
     for k in range(1, n + 1):
         prev = D[k - 1]
         cur = D[k]
@@ -485,7 +431,7 @@ def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[
     n = len(vertices)
     if n == 0 or not recs:
         return None
-    D, P = _walk_table(n, recs, None)
+    D, P = _walk_table(n, recs)
     target = None
     for vi in range(n):
         if D[n][vi] is None:
@@ -515,46 +461,3 @@ def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[
             return tuple([recs[r][3] for r in cycle])
         seen[v] = k - 1
     raise AssertionError("n-edge walk without repeated vertex")
-
-
-def min_mean_cycle(g: MultiGraph, d: int) -> Fraction | None:
-    """Minimum mean weight of a cycle in dimension d (1-based), as an exact
-    Fraction, or None if the graph is acyclic. If g has a source set, only
-    the part reachable from it is considered.
-
-    Computed per strongly connected component from the exact walk table:
-    within an SCC of n vertices, the minimum cycle mean equals
-    min over v of max over k of (D[n][v] - D[k][v]) / (n - k).
-    """
-    if not 1 <= d <= g.dimension:
-        raise DimensionError(f"dimension index {d} out of range 1..{g.dimension}")
-    sub = reachable_subgraph(g, g.source) if g.source is not None else g
-    best: Fraction | None = None
-    for comp in sccs(sub):
-        members = set(comp)
-        vindex = {v: i for i, v in enumerate(comp)}
-        recs = [
-            (vindex[e.src], vindex[e.dst], e.weight[d - 1], e.id)
-            for e in sorted(sub.edges, key=lambda e: repr(e.id))
-            if e.src in members and e.dst in members
-        ]
-        if not recs:
-            continue
-        n = len(comp)
-        D, _ = _walk_table(n, recs, 0)
-        comp_best: Fraction | None = None
-        for vi in range(n):
-            if D[n][vi] is None:
-                continue
-            worst: Fraction | None = None
-            for k in range(n):
-                if D[k][vi] is None:
-                    continue
-                ratio = Fraction(D[n][vi] - D[k][vi], n - k)
-                if worst is None or ratio > worst:
-                    worst = ratio
-            if worst is not None and (comp_best is None or worst < comp_best):
-                comp_best = worst
-        if comp_best is not None and (best is None or comp_best < best):
-            best = comp_best
-    return best

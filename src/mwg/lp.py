@@ -1,14 +1,13 @@
-"""Exact linear programming over rationals.
+"""Exact linear feasibility over rationals.
 
 A small dictionary-form simplex with Bland's pivoting rule. Rows are
 integers from construction on: `constraint` multiplies a row with
 rational entries by the lcm of its denominators, and the tableau is
-pivoted fraction-free (all divisions exact), so feasibility and
-optimality answers carry no floating-point tolerance at all. `Fraction`
-appears only where a value really is rational: nonzero lower bounds, the
-extracted assignment and the objective value. Sized for the circulation
-systems built by the circuit-detection code: tens of variables, not
-thousands.
+pivoted fraction-free (all divisions exact), so feasibility answers
+carry no floating-point tolerance at all. `Fraction` appears only where
+a value really is rational: nonzero lower bounds and the extracted
+assignment. Sized for the circulation systems built by the
+circuit-detection code: tens of variables, not thousands.
 """
 
 from __future__ import annotations
@@ -20,16 +19,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import LpError
 
-Rational = Fraction
-
 _RELATIONS = ("=", ">=")
 
 
-def _scaled(values: Sequence) -> tuple[list[int], int]:
-    """A rational vector times the lcm of its denominators, and that lcm."""
+def _scaled(values: Sequence) -> list[int]:
+    """A rational vector times the lcm of its denominators."""
     exact = [Fraction(x) for x in values]
     scale = lcm(*[x.denominator for x in exact])
-    return [x.numerator * (scale // x.denominator) for x in exact], scale
+    return [x.numerator * (scale // x.denominator) for x in exact]
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class Constraint:
 
     def __post_init__(self) -> None:
         if not {type(self.rhs), *map(type, self.coeffs)} <= {int}:
-            *coeffs, rhs = _scaled((*self.coeffs, self.rhs))[0]
+            *coeffs, rhs = _scaled((*self.coeffs, self.rhs))
             object.__setattr__(self, "coeffs", tuple(coeffs))
             object.__setattr__(self, "rhs", rhs)
 
@@ -70,22 +67,8 @@ def system(variables: Iterable[str], rows: Iterable[tuple]) -> LinearConstraintS
 
 @dataclass
 class LpOutcome:
-    status: str  # "feasible" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "infeasible"
     assignment: dict[str, Fraction] | None = None
-    objective_value: Fraction | None = None
-    unbounded_var: str | None = None
-
-
-def satisfies(sys_: LinearConstraintSystem, assignment: Mapping[str, Fraction]) -> bool:
-    """Exact check that an assignment meets every constraint."""
-    values = [Fraction(assignment[v]) for v in sys_.variables]
-    for c in sys_.constraints:
-        lhs = sum((a * x for a, x in zip(c.coeffs, values)), Fraction(0))
-        if c.relation == "=" and lhs != c.rhs:
-            return False
-        if c.relation == ">=" and lhs < c.rhs:
-            return False
-    return True
 
 
 def _validate(sys_: LinearConstraintSystem) -> None:
@@ -101,17 +84,18 @@ def _validate(sys_: LinearConstraintSystem) -> None:
 
 
 class _Simplex:
-    """Two-phase simplex on an all-integer tableau.
+    """Phase-1 simplex on an all-integer tableau: it minimizes the sum of
+    the artificial variables, which reaches zero exactly when the system
+    is feasible. Artificials left basic at the optimum sit at zero.
 
     Invariant: the true tableau equals T / D for a single positive integer
     D (the last pivot element); fraction-free pivoting keeps every entry an
     integer, with divisions exact by Edmonds' minor identity.
     """
 
-    def __init__(self, sys_: LinearConstraintSystem, objective: Sequence[Fraction] | None):
+    def __init__(self, sys_: LinearConstraintSystem):
         self.sys = sys_
         self.n = len(sys_.variables)
-        self.objective = objective
         self.infeasible_early = False
         self._presolve()
 
@@ -151,7 +135,7 @@ class _Simplex:
                 cols.append(("neg", j))
         self.cols = cols
         n_surplus = sum(1 for _, rel, _ in self.rows if rel == ">=")
-        self.width = len(cols) + n_surplus  # non-artificial columns
+        width = len(cols) + n_surplus  # non-artificial columns
         shifts = [(j, b) for j, b in enumerate(self.lower) if b]
 
         # Scale each row by the denominator of its shifted rhs and flip it
@@ -167,7 +151,7 @@ class _Simplex:
             built.append((row, surplus if rel == ">=" else None, m, abs(rhs2.numerator)))
             surplus += rel == ">="
         n_art = sum(1 for _, s, m, _ in built if s is None or m > 0)
-        self.total_cols = self.width + n_art
+        self.total_cols = width + n_art
         self.T: list[list[int]] = []
         self.basis: list[int] = []
         art_rows: list[int] = []
@@ -177,31 +161,18 @@ class _Simplex:
             if s is not None:
                 row[s] = -m
             if s is None or m > 0:
-                s = self.width + len(art_rows)
+                s = width + len(art_rows)
                 row[s] = 1
                 art_rows.append(len(self.T))
             self.T.append(row)
             self.basis.append(s)
         self.D = 1
-        self.artificial = set(range(self.width, self.total_cols))
 
-        # Phase-1 cost row: minimize the artificial sum.
-        z1 = [0] * self.width + [1] * n_art + [0]
+        # Cost row: minimize the artificial sum.
+        z = [0] * width + [1] * n_art + [0]
         for i in art_rows:
-            z1 = [z - t for z, t in zip(z1, self.T[i])]
-        self.z1 = z1
-
-        # Phase-2 cost row (minimize -objective), priced for the initial
-        # basis for free: every initial basic column has zero true cost.
-        z2 = [0] * (self.total_cols + 1)
-        self.obj_scale = 1
-        self.obj_offset = Fraction(0)
-        if self.objective is not None:
-            c, self.obj_scale = _scaled(self.objective)
-            self.obj_offset = Fraction(sum(c[j] * b for j, b in shifts), self.obj_scale)
-            for col, (kind, j) in enumerate(cols):
-                z2[col] = -c[j] if kind != "neg" else c[j]
-        self.z2 = z2
+            z = [a - t for a, t in zip(z, self.T[i])]
+        self.z = z
 
     # -- pivoting ----------------------------------------------------------
 
@@ -211,7 +182,7 @@ class _Simplex:
         if piv <= 0:
             raise AssertionError(f"pivot element {piv} is not positive")
         D = self.D
-        for row in (*self.T, self.z1, self.z2):
+        for row in (*self.T, self.z):
             f = row[q]
             if row is rowp or (not f and piv == D):
                 continue
@@ -221,14 +192,6 @@ class _Simplex:
                 row[:] = [a * piv // D for a in row]
         self.D = piv
         self.basis[p] = q
-
-    def _entering(self, z: list[int], allow_artificial: bool) -> int | None:
-        for q in range(self.total_cols):
-            if not allow_artificial and q in self.artificial:
-                continue
-            if z[q] < 0:
-                return q  # Bland: lowest column index
-        return None
 
     def _leaving(self, q: int) -> int | None:
         best: int | None = None
@@ -245,39 +208,19 @@ class _Simplex:
                 best = i  # Bland tie-break on the basic variable index
         return best
 
-    def _run(self, z: list[int], allow_artificial: bool) -> str:
+    def _run(self) -> None:
+        z = self.z
         while True:
-            q = self._entering(z, allow_artificial)
+            # Bland: the lowest column index with a negative reduced cost.
+            q = next((j for j in range(self.total_cols) if z[j] < 0), None)
             if q is None:
-                return "optimal"
+                return
             p = self._leaving(q)
             if p is None:
-                self._unbounded_col = q
-                return "unbounded"
+                raise AssertionError("phase 1 unbounded, yet its objective is bounded below by zero")
             self._pivot(p, q)
 
-    def _drive_out_artificials(self) -> None:
-        # Pivot each artificial still basic (at value 0) out on any
-        # structural or surplus column; a row with none is redundant.
-        i = 0
-        while i < len(self.T):
-            row = self.T[i]
-            if self.basis[i] in self.artificial:
-                pivot_col = next((j for j in range(self.width) if row[j]), None)
-                if pivot_col is None:
-                    del self.T[i], self.basis[i]
-                    continue
-                if row[pivot_col] < 0:
-                    row[:] = [-x for x in row]
-                self._pivot(i, pivot_col)
-            i += 1
-
     # -- extraction ----------------------------------------------------------
-
-    def _col_name(self, q: int) -> str:
-        if q < len(self.cols):
-            return self.sys.variables[self.cols[q][1]]
-        return f"slack#{q - len(self.cols)}"
 
     def _assignment(self) -> dict[str, Fraction]:
         values = [
@@ -285,7 +228,7 @@ class _Simplex:
         ]
         for i, q in enumerate(self.basis):
             if q >= len(self.cols):
-                continue
+                continue  # a surplus, or an artificial at zero
             kind, j = self.cols[q]
             # Rows never pivoted keep their original scaling, so divide by
             # the basic coefficient rather than by D.
@@ -297,34 +240,16 @@ class _Simplex:
         if self.infeasible_early:
             return LpOutcome("infeasible")
         self._build()
-        if self._run(self.z1, allow_artificial=True) != "optimal":
-            raise AssertionError("phase 1 unbounded, yet its objective is bounded below by zero")
-        if self.z1[-1] != 0:  # -(artificial sum) < 0
+        self._run()
+        if self.z[-1] != 0:  # -(artificial sum) < 0
             return LpOutcome("infeasible")
-        self._drive_out_artificials()
-        if self.objective is None:
-            return LpOutcome("feasible", self._assignment())
-        status = self._run(self.z2, allow_artificial=False)
-        if status == "unbounded":
-            return LpOutcome("unbounded", unbounded_var=self._col_name(self._unbounded_col))
-        value = Fraction(self.z2[-1], self.D * self.obj_scale) + self.obj_offset
-        return LpOutcome("feasible", self._assignment(), objective_value=value)
+        return LpOutcome("feasible", self._assignment())
 
 
 def lp_feasible(sys_: LinearConstraintSystem) -> LpOutcome:
     """Decide feasibility; on success the outcome carries an exact point."""
     _validate(sys_)
-    return _Simplex(sys_, None).solve()
-
-
-def lp_maximize(sys_: LinearConstraintSystem, objective: Sequence) -> LpOutcome:
-    """Maximize objective . x over the system, exactly."""
-    _validate(sys_)
-    if len(objective) != len(sys_.variables):
-        raise LpError(
-            f"objective has {len(objective)} coefficients for {len(sys_.variables)} variables"
-        )
-    return _Simplex(sys_, objective).solve()
+    return _Simplex(sys_).solve()
 
 
 def max_support_solution(
@@ -333,42 +258,29 @@ def max_support_solution(
     """Feasible point whose support is the union of supports of all feasible points.
 
     Precondition: every variable is constrained >= 0 in the system and all
-    constraints except at most one total-sum bound are homogeneous (true
-    for the circulation systems this serves). One capped indicator t_v with
-    t_v <= min(x_v, 1) is added per variable; maximizing sum(t) forces
-    t_v = 1 exactly for the variables positive in some feasible point, so
-    the optimal x has maximal support.
+    constraints except at most one lower bound on the total sum are
+    homogeneous (true for the circulation systems this serves). Then a
+    feasible point positive at v scales up to one with x_v >= 1, so the
+    system plus sum(x_v for v outside the current support) >= 1 is
+    feasible exactly when some feasible point leaves that support. While
+    it is, the midpoint of the current point and the new one is feasible
+    (the feasible set is convex) and positive on both supports, so the
+    support grows; at most one solve per variable.
     """
-    _validate(sys_)
-    names = set(sys_.variables)
-    indicators = []
-    for v in sys_.variables:
-        t = v + "#t"
-        while t in names:
-            t += "#"
-        names.add(t)
-        indicators.append(t)
-    n = len(sys_.variables)
-    variables = tuple(sys_.variables) + tuple(indicators)
-    pad = (0,) * n
-    rows = [Constraint(c.coeffs + pad, c.relation, c.rhs) for c in sys_.constraints]
-    for i in range(n):
-        le_x = [0] * (2 * n)
-        le_x[i], le_x[n + i] = 1, -1
-        rows.append(Constraint(tuple(le_x), ">=", 0))  # x_i - t_i >= 0
-        t_only = [0] * (2 * n)
-        t_only[n + i] = 1
-        rows.append(Constraint(tuple(t_only), ">=", 0))  # t_i >= 0
-        t_only[n + i] = -1
-        rows.append(Constraint(tuple(t_only), ">=", -1))  # t_i <= 1
-    extended = LinearConstraintSystem(variables, tuple(rows))
-    objective = [0] * n + [1] * n
-    out = lp_maximize(extended, objective)
+    out = lp_feasible(sys_)
     if out.status != "feasible":
         return LpOutcome("infeasible"), frozenset()
-    assignment = {v: out.assignment[v] for v in sys_.variables}
-    support = frozenset(v for v, val in assignment.items() if val > 0)
-    return LpOutcome("feasible", assignment), support
+    point = out.assignment
+    while True:
+        outside = tuple([int(point[v] == 0) for v in sys_.variables])
+        if not any(outside):
+            break
+        wider = Constraint(outside, ">=", 1)
+        out = lp_feasible(LinearConstraintSystem(sys_.variables, (*sys_.constraints, wider)))
+        if out.status != "feasible":
+            break
+        point = {v: (x + out.assignment[v]) / 2 for v, x in point.items()}
+    return LpOutcome("feasible", point), frozenset([v for v, x in point.items() if x > 0])
 
 
 def integer_scale(assignment: Mapping[str, Fraction]) -> dict[str, int]:

@@ -11,19 +11,14 @@ ids, never to (src, dst) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
-from .errors import DimensionError, StrategyError, WalkError
+from .errors import DimensionError, StrategyError
 from .graphs import GraphEdge, MultiGraph, reachable
 
 # Weight vectors are plain tuples of ints; helpers below operate on them.
 WeightVector = tuple[int, ...]
-
-
-def vector_add(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple([x + y for x, y in zip(a, b)])
 
 
 def vector_sub(a: WeightVector, b: WeightVector) -> WeightVector:
@@ -78,9 +73,6 @@ class GameStructure:
     @cached_property
     def max_abs_weight(self) -> int:
         return max((abs(c) for e in self.edges for c in e.weight), default=0)
-
-    def zero_vector(self) -> WeightVector:
-        return (0,) * self.dimension
 
 
 @dataclass
@@ -167,57 +159,6 @@ def validate_game(g: GameStructure) -> list[Violation]:
     return out
 
 
-def energy_level(g: GameStructure, prefix: Iterable[str]) -> WeightVector:
-    """Sum of edge weights along a play prefix starting at the initial state.
-
-    The empty prefix has energy level zero. Raises WalkError if the ids do
-    not form a connected walk from init.
-    """
-    total = list(g.zero_vector())
-    at = g.init
-    for eid in prefix:
-        edge = g.edge_by_id.get(eid)
-        if edge is None:
-            raise WalkError(f"unknown edge id {eid!r} in prefix")
-        if edge.src != at:
-            raise WalkError(f"edge {eid!r} leaves {edge.src!r} but the walk is at {at!r}")
-        for d, c in enumerate(edge.weight):
-            total[d] += c
-        at = edge.dst
-    return tuple(total)
-
-
-def _walk_end(g: GameStructure, start: str, ids: Iterable[str], what: str) -> str:
-    at = start
-    for eid in ids:
-        edge = g.edge_by_id.get(eid)
-        if edge is None:
-            raise WalkError(f"unknown edge id {eid!r} in {what}")
-        if edge.src != at:
-            raise WalkError(f"edge {eid!r} leaves {edge.src!r} but the {what} is at {at!r}")
-        at = edge.dst
-    return at
-
-
-def mean_payoff_of_lasso(g: GameStructure, lasso: Lasso) -> tuple[Fraction, ...]:
-    """Mean weight per dimension of the lasso's cycle, as exact fractions.
-
-    The stem must be a walk from init and the cycle must loop back to the
-    stem's endpoint; the value itself depends only on the cycle.
-    """
-    if not lasso.cycle:
-        raise WalkError("lasso cycle must be nonempty")
-    anchor = _walk_end(g, g.init, lasso.stem, "lasso stem")
-    if _walk_end(g, anchor, lasso.cycle, "lasso cycle") != anchor:
-        raise WalkError("lasso cycle does not return to the stem's endpoint")
-    total = list(g.zero_vector())
-    for eid in lasso.cycle:
-        for d, c in enumerate(g.edge_by_id[eid].weight):
-            total[d] += c
-    n = len(lasso.cycle)
-    return tuple([Fraction(t, n) for t in total])
-
-
 def shift_weights(g: GameStructure, v: WeightVector) -> GameStructure:
     """Subtract v from every edge weight (used to reduce threshold v to 0)."""
     if len(v) != g.dimension:
@@ -267,6 +208,12 @@ def check_strategy(g: GameStructure, s: Strategy) -> None:
             edge = g.edge_by_id.get(eid)
             if edge is None or edge.src != sid:
                 raise StrategyError(f"action({m!r}, {sid!r}) is not an outgoing edge id: {eid!r}")
+    # Both tables are total on their domains (update: memory x states,
+    # action: memory x owned states), so a larger one has a key outside.
+    for what, table, domain in (("update", s.update, g.state_by_id), ("action", s.action, owned)):
+        if len(table) > len(s.memory) * len(domain):
+            key = next(k for k in table if k[0] not in s.memory or k[1] not in domain)
+            raise StrategyError(f"{what} has an entry outside its domain: {key!r}")
 
 
 def as_moore(g: GameStructure, s: MemorylessStrategy) -> MooreStrategy:
@@ -304,18 +251,3 @@ def product_with_strategy(g: GameStructure, s: Strategy) -> MultiGraph:
 
     vertices = tuple(reachable(start, succ))
     return MultiGraph(g.dimension, vertices, tuple(edges), start)
-
-
-def strategies_equal(a: Strategy, b: Strategy) -> bool:
-    """Structural equality that tolerates memoryless/Moore mixing."""
-    if isinstance(a, MemorylessStrategy) and isinstance(b, MemorylessStrategy):
-        return a.player == b.player and a.choice == b.choice
-    if isinstance(a, MooreStrategy) and isinstance(b, MooreStrategy):
-        return (
-            a.player == b.player
-            and set(a.memory) == set(b.memory)
-            and a.initial == b.initial
-            and a.update == b.update
-            and a.action == b.action
-        )
-    return False

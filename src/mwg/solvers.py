@@ -154,15 +154,6 @@ def _choice_space(g: GameStructure, player: int) -> tuple[list[str], list[tuple[
     return states, options
 
 
-def enumerate_p2_memoryless(g: GameStructure) -> Iterator[MemorylessStrategy]:
-    """All maps from Player-2 states to one of their outgoing edges, in
-    lexicographic order (states by id, edges by id). A game without
-    Player-2 states yields exactly one empty strategy."""
-    states, options = _choice_space(g, 2)
-    for combo in product(*options):
-        yield MemorylessStrategy(2, dict(zip(states, combo)))
-
-
 def _first_uncovered(
     sizes: Sequence[int],
     cubes: Iterable[tuple[tuple[int, int], ...]],
@@ -356,9 +347,9 @@ def verify_p1_certificate(
     certificate is winning from the returned credit."""
     if s.player != 1:
         raise StrategyError("certificate must belong to Player 1")
-    moore = as_moore(g, s) if isinstance(s, MemorylessStrategy) else s
-    check_strategy(g, moore)
-    p = product_with_strategy(g, moore)
+    # product_with_strategy checks the certificate, a memoryless one as a
+    # Moore machine, so both kinds are rejected with the same messages.
+    p = product_with_strategy(g, as_moore(g, s) if isinstance(s, MemorylessStrategy) else s)
     for d in range(1, g.dimension + 1):
         if negative_cycle_in_dimension(p, d, p.source) is not None:
             return CertificateCheck(False)

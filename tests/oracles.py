@@ -26,9 +26,8 @@ from mwg import (
     MemorylessStrategy,
     MultiGraph,
     State,
+    WalkError,
     as_moore,
-    enumerate_p2_memoryless,
-    eulerian_circuit_from_circulation,
     verify_p1_certificate,
     verify_p2_spoiler,
 )
@@ -52,6 +51,58 @@ def knapsack_brute_force(inst: KnapsackInstance) -> Optional[frozenset[int]]:
         if inst.feasible(subset):
             return subset
     return None
+
+
+def enumerate_p2_memoryless(g: GameStructure) -> Iterator[MemorylessStrategy]:
+    """All maps from Player-2 states to one of their outgoing edges, in
+    lexicographic order (states by id, edges by id). A game without
+    Player-2 states yields exactly one empty strategy."""
+    states = list(g.states_of(2))
+    for combo in product(*([e.id for e in g.out_edges(sid)] for sid in states)):
+        yield MemorylessStrategy(2, dict(zip(states, combo)))
+
+
+def energy_level(g: GameStructure, prefix) -> tuple[int, ...]:
+    """Sum of edge weights along a play prefix starting at the initial state.
+
+    The empty prefix has energy level zero. Raises WalkError if the ids do
+    not form a connected walk from init.
+    """
+    total = [0] * g.dimension
+    at = g.init
+    for eid in prefix:
+        edge = g.edge_by_id.get(eid)
+        if edge is None:
+            raise WalkError(f"unknown edge id {eid!r} in prefix")
+        if edge.src != at:
+            raise WalkError(f"edge {eid!r} leaves {edge.src!r} but the walk is at {at!r}")
+        for d, c in enumerate(edge.weight):
+            total[d] += c
+        at = edge.dst
+    return tuple(total)
+
+
+def games_equal(a: GameStructure, b: GameStructure) -> bool:
+    """Structural equality up to declaration order."""
+    return (
+        a.dimension == b.dimension
+        and a.init == b.init
+        and sorted(a.states, key=lambda s: s.id) == sorted(b.states, key=lambda s: s.id)
+        and sorted(a.edges, key=lambda e: e.id) == sorted(b.edges, key=lambda e: e.id)
+    )
+
+
+def satisfies(sys_, assignment) -> bool:
+    """Exact check that an assignment meets every constraint of a linear
+    system."""
+    values = [Fraction(assignment[v]) for v in sys_.variables]
+    for c in sys_.constraints:
+        lhs = sum((a * x for a, x in zip(c.coeffs, values)), Fraction(0))
+        if c.relation == "=" and lhs != c.rhs:
+            return False
+        if c.relation == ">=" and lhs < c.rhs:
+            return False
+    return True
 
 
 def first_p2_spoiler(g: GameStructure) -> Optional[MemorylessStrategy]:
@@ -94,6 +145,56 @@ def _connected(edges) -> bool:
                 seen.add(w)
                 todo.append(w)
     return len(seen) == len(adjacent)
+
+
+def eulerian_circuit_from_circulation(g: MultiGraph, circulation: dict) -> Circuit:
+    """Closed walk using each edge exactly its circulation count of times.
+
+    Raises WalkError unless the circulation is a nonempty, balanced and
+    weakly connected multiset of g's edges. Hierholzer by splicing: from
+    each position of the walk so far, in order, follow unused edges (by
+    id) until none leaves the current vertex, which by balance is the
+    vertex the detour started from, and insert that closed detour there.
+    """
+    by_id = {e.id: e for e in g.edges}
+    left: dict = {}
+    for eid, n in circulation.items():
+        if eid not in by_id:
+            raise WalkError(f"unknown edge id {eid!r} in circulation")
+        if not isinstance(n, int) or n < 0:
+            raise WalkError(f"multiplicity of {eid!r} must be a nonnegative integer")
+        if n > 0:
+            left[eid] = n
+    if not left:
+        raise WalkError("circulation must use at least one edge")
+    balance: dict = {}
+    for eid, n in left.items():
+        e = by_id[eid]
+        balance[e.dst] = balance.get(e.dst, 0) + n
+        balance[e.src] = balance.get(e.src, 0) - n
+    if any(balance.values()):
+        raise WalkError("circulation is not balanced")
+    if not _connected([by_id[eid] for eid in left]):
+        raise WalkError("circulation support is not connected")
+    order = sorted(left, key=repr)
+
+    def detour(at) -> list:
+        out = []
+        while True:
+            eid = next((eid for eid in order if left[eid] and by_id[eid].src == at), None)
+            if eid is None:
+                return out
+            left[eid] -= 1
+            out.append(eid)
+            at = by_id[eid].dst
+
+    at, walk, i = by_id[order[0]].src, [], 0
+    while True:
+        walk[i:i] = detour(at)
+        if i == len(walk):
+            return Circuit.from_walk(walk)
+        at = by_id[walk[i]].dst
+        i += 1
 
 
 @cache
@@ -216,14 +317,6 @@ def simple_cycles(g: MultiGraph) -> Iterator[tuple[str, ...]]:
 def cycle_sum(g: MultiGraph, cycle: tuple[str, ...], d: int) -> int:
     by_id = {e.id: e for e in g.edges}
     return sum(by_id[eid].weight[d - 1] for eid in cycle)
-
-
-def min_mean_by_enumeration(g: MultiGraph, d: int) -> Optional[Fraction]:
-    means = [
-        Fraction(cycle_sum(g, c, d), len(c))
-        for c in simple_cycles(g)
-    ]
-    return min(means) if means else None
 
 
 def has_negative_simple_cycle(g: MultiGraph, d: int) -> bool:

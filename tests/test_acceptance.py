@@ -13,7 +13,6 @@ from mwg import (
     encode_3sat_memoryless,
     encode_3sat_two_player,
     encode_knapsack,
-    enumerate_p2_memoryless,
     nonnegative_circuit,
     reachable_subgraph,
     scale_weights,
@@ -31,6 +30,7 @@ from conftest import FIXTURES
 from test_solvers import fixed_graph
 from oracles import (
     bounded_circulation_oracle,
+    enumerate_p2_memoryless,
     knapsack_brute_force,
     rand_cnf,
     rand_game,

@@ -1,0 +1,48 @@
+"""The benchmark in `perfbench/` reaches into `mwg` by name: its span
+recorder replaces the functions listed in `perfbench/spans.py`, and its
+output checks build graphs and verify circuits. A rename or deletion in
+the package that breaks those names fails here, not only in a traced
+benchmark run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+from mwg import solvers
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+
+
+def _boundaries() -> list[tuple[str, str, str]]:
+    """The BOUNDARIES list of spans.py, read from its source without
+    importing the benchmark."""
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BOUNDARIES"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("spans.py defines no BOUNDARIES list")
+
+
+def test_every_traced_name_resolves():
+    boundaries = _boundaries()
+    assert boundaries
+    for module, attr, _label in boundaries:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_package_names_the_benchmark_uses_resolve():
+    # Every `module.attr` in the benchmark's sources, for each module it
+    # imports from mwg: graphs.GraphEdge, solvers.solve_unknown_credit, ...
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "mwg"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                module = importlib.import_module(f"mwg.{node.value.id}")
+                assert hasattr(module, node.attr), f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+    # The output checks expand each YES verdict's cover through this property.
+    assert isinstance(solvers.Verdict.witnesses, property)

@@ -152,6 +152,31 @@ class TestCheck:
             errors.add(done.stderr)
         assert errors == {"error: action is not total: missing ('m0', 'q1')\n"}
 
+    def test_p1_choice_at_a_player2_state_exits_3(self, capsys, tmp_path):
+        game = tmp_path / "ab.mwg"
+        game.write_text(
+            "mwg 1\ndimension 1\nstate a owner=1 init\nstate b owner=2\nedge s a b w=(0)\nedge t b a w=(0)\n"
+        )
+        cert = tmp_path / "p2choice.cert"
+        cert.write_text("choose a s\nchoose b t\n")
+        code, out, err = run(capsys, "check", "p1", str(game), str(cert))
+        assert (code, out) == (3, "")
+        assert "('m0', 'b')" in err
+
+    def test_p1_action_at_an_unknown_state_exits_3(self, capsys, tmp_path):
+        cert = tmp_path / "next.cert"
+        cert.write_text(write_certificate(alternating_fig1_strategy()) + "next ma zz -> loop\n")
+        code, out, err = run(capsys, "check", "p1", FIG1, str(cert))
+        assert (code, out) == (3, "")
+        assert "('ma', 'zz')" in err
+
+    def test_p1_update_at_an_unknown_state_exits_3(self, capsys, tmp_path):
+        cert = tmp_path / "update.cert"
+        cert.write_text(write_certificate(alternating_fig1_strategy()) + "update mb ghost -> ma\n")
+        code, out, err = run(capsys, "check", "p1", FIG1, str(cert))
+        assert (code, out) == (3, "")
+        assert "('mb', 'ghost')" in err
+
     def test_foreign_certificate_exits_3(self, capsys, tmp_path):
         cert = tmp_path / "foreign.cert"
         cert.write_text("choose nowhere nothing\n")

@@ -14,23 +14,20 @@ from mwg import (
     WalkError,
     as_multigraph,
     circuit_weight,
-    dominance,
-    eulerian_circuit_from_circulation,
-    min_mean_cycle,
     negative_cycle_in_dimension,
     nonnegative_circuit,
     product_with_strategy,
     reachable,
     reachable_subgraph,
-    sccs,
     validate_circuit,
     zero_circuit,
 )
 from mwg import graphs
 from oracles import (
+    _connected,
     bounded_circulation_oracle,
+    eulerian_circuit_from_circulation,
     has_negative_simple_cycle,
-    min_mean_by_enumeration,
     rand_decoy,
     rand_multigraph,
     simple_cycles,
@@ -53,6 +50,15 @@ def path_graph(*weights):
         GraphEdge(f"e{i}", vs[i], vs[(i + 1) % n], (w,)) for i, w in enumerate(weights)
     )
     return MultiGraph(1, vs, es, "v0")
+
+
+def sccs(g):
+    """Strongly connected components found by the circuit search's Tarjan
+    routine, each sorted, ordered by smallest member."""
+    succ = {v: [] for v in g.vertices}
+    for e in sorted(g.edges, key=lambda e: repr(e.id)):
+        succ[e.src].append(e.dst)
+    return sorted((sorted(c) for c in graphs._tarjan(sorted(g.vertices), succ)), key=lambda c: c[0])
 
 
 class TestSccs:
@@ -224,8 +230,6 @@ class TestEulerian:
         assert c.multiplicity == {"e1": 1, "e2": 1}
 
     def test_random_circulations_round_trip(self):
-        from mwg.graphs import _weakly_connected
-
         rng = random.Random(21)
         # 4-vertex strongly connected shell plus chords; build circulations
         # by overlaying random simple cycles.
@@ -245,7 +249,7 @@ class TestEulerian:
                 for eid in cyc:
                     circulation[eid] = circulation.get(eid, 0) + 1
             support = [e for e in g.edges if circulation.get(e.id, 0) > 0]
-            if not _weakly_connected([(e.src, e.dst, e.weight, (e.id,)) for e in support]):
+            if not _connected(support):
                 continue
             c = eulerian_circuit_from_circulation(g, circulation)
             assert c.multiplicity == circulation
@@ -313,69 +317,6 @@ class TestNegativeCycle:
                     # simple: no vertex repeats along the cycle
                     srcs = [by_id[eid].src for eid in got]
                     assert len(srcs) == len(set(srcs))
-
-
-class TestMinMeanCycle:
-    def test_single_loop(self):
-        assert min_mean_cycle(loops((3,)), 1) == Fraction(3)
-
-    def test_two_edge_cycle(self):
-        assert min_mean_cycle(path_graph(1, 3), 1) == Fraction(2)
-
-    def test_fig2_dimension_one(self, fig2):
-        assert min_mean_cycle(as_multigraph(fig2), 1) == 0
-
-    def test_acyclic_absent(self):
-        g = MultiGraph(1, ("a", "b"), (GraphEdge("e1", "a", "b", (1,)),), "a")
-        assert min_mean_cycle(g, 1) is None
-
-    def test_bad_dimension(self):
-        with pytest.raises(DimensionError):
-            min_mean_cycle(loops((1,)), 2)
-
-    def test_agrees_with_enumeration(self):
-        rng = random.Random(23)
-        for _ in range(120):
-            g = rand_multigraph(rng, max_vertices=6, max_edges=8)
-            sub = reachable_subgraph(g, "v0")
-            for d in range(1, g.dimension + 1):
-                assert min_mean_cycle(g, d) == min_mean_by_enumeration(sub, d)
-
-
-class TestDominance:
-    def test_examples(self):
-        assert dominance((1, 2), (2, 2))
-        assert not dominance((1, 2), (2, 1))
-        assert dominance((1, 2), (1, 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dominance((1,), (1, 2))
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=20, max_size=40)
-    )
-    @settings(max_examples=40)
-    def test_dickson_property(self, seq):
-        # In a bounded box a long sequence always has i < j with seq[i] <= seq[j].
-        hits = [
-            (i, j)
-            for i in range(len(seq))
-            for j in range(i + 1, len(seq))
-            if dominance(seq[i], seq[j])
-        ]
-        assert hits
-
-    @given(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-    )
-    @settings(max_examples=60)
-    def test_reflexive_transitive(self, a, b, c):
-        assert dominance(a, a)
-        if dominance(a, b) and dominance(b, c):
-            assert dominance(a, c)
 
 
 class TestBoundedOracle:

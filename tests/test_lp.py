@@ -17,11 +17,15 @@ from mwg.lp import (
     constraint,
     integer_scale,
     lp_feasible,
-    lp_maximize,
     max_support_solution,
-    satisfies,
     system,
 )
+from oracles import satisfies
+
+
+def plus(sys_, row):
+    """The system with one more constraint."""
+    return LinearConstraintSystem(sys_.variables, (*sys_.constraints, row))
 
 
 def test_feasible_interval():
@@ -57,24 +61,6 @@ def test_connector_circulation_feasible():
     assert out.assignment["xab"] == out.assignment["xba"] >= Fraction(1, 2)
 
 
-def test_maximize_capped():
-    sys_ = system(["x"], [((-1,), ">=", -3), ((1,), ">=", 0)])
-    out = lp_maximize(sys_, [1])
-    assert out.status == "feasible"
-    assert out.objective_value == 3
-    assert out.assignment["x"] == 3
-
-
-def test_maximize_unbounded():
-    out = lp_maximize(system(["x"], [((1,), ">=", 0)]), [1])
-    assert out.status == "unbounded"
-
-
-def test_maximize_infeasible():
-    out = lp_maximize(system(["x"], [((1,), ">=", 1), ((-1,), ">=", 0)]), [1])
-    assert out.status == "infeasible"
-
-
 def test_support_probe_matches_membership():
     # Circulation polytope of two opposite self-loops: both edges can be
     # positive; a zero-forced third variable cannot.
@@ -92,10 +78,9 @@ def test_support_probe_matches_membership():
         ],
     )
     for var, positive in (("x1", True), ("x2", True), ("x3", False)):
-        obj = [1 if v == var else 0 for v in sys_.variables]
-        out = lp_maximize(sys_, obj)
-        assert out.status == "feasible"
-        assert (out.objective_value > 0) == positive
+        probe = [1 if v == var else 0 for v in sys_.variables]
+        assert (lp_feasible(plus(sys_, constraint(probe, ">=", 1))).status == "feasible") == positive
+    assert max_support_solution(sys_)[1] == {"x1", "x2"}
 
 
 def test_max_support_decoupled_variables():
@@ -149,6 +134,15 @@ def test_max_support_two_disjoint_cycles():
     assert all(out.assignment[v] > 0 for v in support)
 
 
+def test_max_support_point_stays_in_a_capped_set():
+    # On x + y = 1 the first point is a vertex and the wider one the
+    # other vertex; their sum leaves the set, their midpoint does not.
+    sys_ = system(["x", "y"], [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((1, 1), "=", 1)])
+    out, support = max_support_solution(sys_)
+    assert support == {"x", "y"}
+    assert satisfies(sys_, out.assignment)
+
+
 def test_max_support_propagates_infeasible():
     sys_ = system(["x"], [((1,), ">=", 1), ((-1,), ">=", 0)])
     out, support = max_support_solution(sys_)
@@ -192,8 +186,6 @@ def test_malformed_system_rejected():
     with pytest.raises(LpError):
         lp_feasible(system(["x"], [((1, 2), ">=", 0)]))
     with pytest.raises(LpError):
-        lp_maximize(system(["x"], [((1,), ">=", 0)]), [1, 2])
-    with pytest.raises(LpError):
         max_support_solution(system(["x"], [((1, 2), ">=", 0)]))
 
 
@@ -218,39 +210,10 @@ def test_feasible_assignments_satisfy_exactly(data):
         assert satisfies(sys_, out.assignment)
 
 
-def test_maximum_dominates_lattice_points():
-    rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randint(2, 3)
-        names = [f"x{i}" for i in range(n)]
-        rows = [(tuple(1 if j == i else 0 for j in range(n)), ">=", 0) for i in range(n)]
-        rows += [(tuple(-1 if j == i else 0 for j in range(n)), ">=", -4) for i in range(n)]
-        for _ in range(rng.randint(0, 3)):
-            rows.append(
-                (
-                    tuple(rng.randint(-3, 3) for _ in range(n)),
-                    rng.choice(["=", ">="]),
-                    rng.randint(-5, 5),
-                )
-            )
-        sys_ = system(names, rows)
-        obj = [rng.randint(-3, 3) for _ in range(n)]
-        out = lp_maximize(sys_, obj)
-        best_lattice = None
-        for point in itertools.product(range(5), repeat=n):
-            assignment = dict(zip(names, map(Fraction, point)))
-            if satisfies(sys_, assignment):
-                value = sum(c * x for c, x in zip(obj, point))
-                best_lattice = value if best_lattice is None else max(best_lattice, value)
-        if best_lattice is None:
-            continue
-        assert out.status == "feasible"
-        assert out.objective_value >= best_lattice
-
-
 def test_many_redundant_rows_need_no_recursion():
-    # Phase 1 leaves 1,499 copies of x - y = 0 redundant; each is deleted
-    # in one loop, with no call per deleted row.
+    # Phase 1 leaves 1,499 copies of x - y = 0 redundant, each with its
+    # artificial basic at zero: the pivot loop and the point read from the
+    # tableau handle them with no call per row.
     rows = [((1, -1), "=", 0)] * 1500 + [((1, 1), ">=", 1), ((1, 0), ">=", 0), ((0, 1), ">=", 0)]
     sys_ = system(["x", "y"], rows)
     out = lp_feasible(sys_)
@@ -278,7 +241,9 @@ def test_directly_built_rational_constraints_solve_exactly():
     out = lp_feasible(sys_)
     assert out.status == "feasible"
     assert satisfies(sys_, out.assignment)
-    assert lp_maximize(sys_, [-1, -1]).objective_value == -third - Fraction(5, 2)
+    # The least x + y is exactly 1/3 + 5/2 (x = 1/3, y = 5/2).
+    for bound, status in ((third + Fraction(5, 2), "feasible"), (third + Fraction(249, 100), "infeasible")):
+        assert lp_feasible(plus(sys_, Constraint((-1, -1), ">=", -bound))).status == status
 
 
 def test_bool_entries_behave_like_ints():
@@ -286,7 +251,8 @@ def test_bool_entries_behave_like_ints():
     as_bools = [(tuple(bool(a) if a in (0, 1) else a for a in c), rel, r) for c, rel, r in rows]
     ints, bools = system(["x", "y"], rows), system(["x", "y"], as_bools)
     assert bools == ints
-    assert lp_maximize(bools, [True, False]) == lp_maximize(ints, [1, 0])
+    assert lp_feasible(bools) == lp_feasible(ints)
+    assert max_support_solution(bools) == max_support_solution(ints)
 
 
 _rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -299,15 +265,14 @@ def test_scaling_a_row_keeps_the_lp_answers(data):
     # Rows are scaled to integers at construction, so a row and its
     # positive multiple describe the same half-space or hyperplane. Which
     # feasible point phase 1 reaches may differ (each row's scale weighs
-    # its artificial), but feasibility, the optimum and the maximal
-    # support may not, and every point must satisfy the unscaled system.
+    # its artificial), but feasibility and the maximal support may not,
+    # and every point must satisfy the unscaled system.
     n = data.draw(st.integers(1, 3))
     names = [f"x{i}" for i in range(n)]
     vector = st.lists(_rational, min_size=n, max_size=n)
     rows = data.draw(
         st.lists(st.tuples(vector, st.sampled_from(["=", ">="]), _rational), min_size=1, max_size=5)
     )
-    objective = data.draw(vector)
     # The shape max_support_solution requires: a homogeneous cone in the
     # nonnegative orthant, cut by one total-sum bound.
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -319,18 +284,18 @@ def test_scaling_a_row_keeps_the_lp_answers(data):
         c, rel, r = base[i]
         scaled = base[:i] + [([q * a for a in c], rel, q * r)] + base[i + 1 :]
         sys_, sys_q = system(names, base), system(names, scaled)
-        for a, b in (
-            (lp_feasible(sys_), lp_feasible(sys_q)),
-            (lp_maximize(sys_, objective), lp_maximize(sys_q, objective)),
-        ):
-            assert (a.status, a.objective_value) == (b.status, b.objective_value)
-            if a.status == "feasible":
-                assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)
+        a, b = lp_feasible(sys_), lp_feasible(sys_q)
+        assert a.status == b.status
+        if a.status == "feasible":
+            assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)
         if base is cone:
             (a, support_a), (b, support_b) = max_support_solution(sys_), max_support_solution(sys_q)
             assert (a.status, support_a) == (b.status, support_b)
             if a.status == "feasible":
                 assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)
+            # A cone point positive at v scales to one with x_v >= 1.
+            probes = [system(names, cone + [(u, ">=", 1)]) for u in unit]
+            assert support_a == {v for v, p in zip(names, probes) if lp_feasible(p).status == "feasible"}
 
 
 def test_package_has_no_assert_statements():

@@ -25,8 +25,6 @@ from mwg import (
     encode_3sat_memoryless,
     encode_3sat_two_player,
     encode_knapsack,
-    energy_level,
-    enumerate_p2_memoryless,
     product_with_strategy,
     reachable_subgraph,
     scale_weights,
@@ -46,6 +44,8 @@ from mwg.solvers import _first_uncovered
 from oracles import (
     bounded_circulation_oracle,
     clamped_fixpoint_reference,
+    energy_level,
+    enumerate_p2_memoryless,
     first_p1_winner,
     first_p2_spoiler,
     rand_cnf,
@@ -229,7 +229,7 @@ class TestCover:
         cube, lasso = v.cover[0]
         # The stem swallows the circuit's first edge (of weight zero): the
         # walk stays connected and nonnegative, but no longer closes.
-        assert g.edge_by_id[lasso.cycle[0]].weight == g.zero_vector()
+        assert g.edge_by_id[lasso.cycle[0]].weight == (0,) * g.dimension
         cut = Lasso(lasso.stem + lasso.cycle[:1], lasso.cycle[1:])
         assert not verify_p2_cover(g, ((cube, cut),) + v.cover[1:])
 
