@@ -356,7 +356,7 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
             continue
         counts = integer_scale(out.assignment)
         if not _weakly_connected([r for r, x in zip(comp, names) if counts[x] > 0]):
-            out, support = max_support_solution(sys_)
+            out, support = max_support_solution(sys_, out)
             if len(support) < len(comp):
                 stack += components([r for r, x in zip(comp, names) if x in support])
                 continue

@@ -253,7 +253,7 @@ def lp_feasible(sys_: LinearConstraintSystem) -> LpOutcome:
 
 
 def max_support_solution(
-    sys_: LinearConstraintSystem,
+    sys_: LinearConstraintSystem, out: LpOutcome
 ) -> tuple[LpOutcome, frozenset[str]]:
     """Feasible point whose support is the union of supports of all feasible points.
 
@@ -265,9 +265,9 @@ def max_support_solution(
     feasible exactly when some feasible point leaves that support. While
     it is, the midpoint of the current point and the new one is feasible
     (the feasible set is convex) and positive on both supports, so the
-    support grows; at most one solve per variable.
+    support grows; at most one solve per variable. `out` is the outcome of
+    `lp_feasible(sys_)`, which the caller already holds.
     """
-    out = lp_feasible(sys_)
     if out.status != "feasible":
         return LpOutcome("infeasible"), frozenset()
     point = out.assignment

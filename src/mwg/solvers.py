@@ -419,31 +419,59 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     choice. A losing one is refuted by a negative cycle plus a shortest
     stem to it from the initial state; every candidate that agrees with
     it at the states the stem and cycle leave from (its nogood cube)
-    loses too, and the walk skips them all."""
+    loses too, and the walk skips them all.
+
+    Chains of single-edge states (either owner) are contracted once per
+    solve: each option of a choice state hops, with the chain's summed
+    weight, to the next state with a choice. While play meets only
+    Player-1 choices it is deterministic and steps hop by hop until a
+    choice state repeats; the cycle is the hops since then, the same
+    edges the state-by-state play would close, and the nogood is every
+    choice played. Play that runs into a loop of single-edge states
+    closes that loop, with the same nogood. Play that reaches a Player-2
+    state with several edges is settled by a negative-cycle search of the
+    candidate's graph."""
     _require_valid(g)
     states, options = _choice_space(g, 1)
     multi = [(s, g.out_edges(s)) for s, opts in zip(states, options) if len(opts) > 1]
     position = {s: j for j, (s, _) in enumerate(multi)}
     forced = {s: es[0] for s, es in g.outgoing.items() if len(es) == 1}
 
+    def hop(
+        at: str, weights: list[WeightVector]
+    ) -> tuple[Optional[int], WeightVector, Optional[list[WeightVector]]]:
+        # Follow single-edge states to the next state with a choice: its
+        # position (None for a Player-2 state or a loop of single edges),
+        # the summed weight, and the loop's edge weights if it closes one.
+        chain = {}
+        while at in forced and at not in chain:
+            chain[at] = len(weights)
+            weights.append(forced[at].weight)
+            at = forced[at].dst
+        loop = weights[chain[at] :] if at in chain else None
+        return position.get(at), tuple([sum(c) for c in zip(*weights)]), loop
+
+    # hops[j][o]: where option o at position j leads, its weight, and the
+    # edge weights of the loop of single edges it ends in, if any.
+    hops = [[hop(e.dst, [e.weight]) for e in es] for _, es in multi]
+    start = hop(g.init, [])
+
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
-        # Deterministic play from the initial state closes one cycle.
-        at, seen, walk, used = g.init, {}, [], []
-        while at not in seen:
-            seen[at] = len(walk)
-            j = position.get(at)
-            if j is not None:
-                used.append(j)
-                walk.append(multi[j][1][pick[j]])
-            elif at in forced:
-                walk.append(forced[at])
-            else:
+        # Deterministic play from the initial state, one hop per choice,
+        # until a choice repeats or a hop ends in a loop of single edges;
+        # `loop` then holds the weights of the cycle closed. `seen` maps
+        # each position played to its step, in play order.
+        (j, _, loop), seen = start, {}
+        while j is not None:
+            if j in seen:
+                loop = [hops[i][pick[i]][1] for i in list(seen)[seen[j] :]]
                 break
-            at = walk[-1].dst
-        else:
-            if all(sum(c) >= 0 for c in zip(*[e.weight for e in walk[seen[at] :]])):
+            seen[j] = len(seen)
+            j, _, loop = hops[j][pick[j]]
+        if loop is not None:
+            if all(sum(c) >= 0 for c in zip(*loop)):
                 return None
-            return tuple([(j, pick[j]) for j in sorted(used)])
+            return tuple([(i, pick[i]) for i in sorted(seen)])
         # Player 2 branches: search the graph for a negative cycle.
         step = {s: opts[i] for (s, opts), i in zip(multi, pick)}
         sub = as_multigraph(g, MemorylessStrategy(1, {s: e.id for s, e in step.items()}))

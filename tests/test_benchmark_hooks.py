@@ -6,7 +6,13 @@ benchmark run."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from mwg import solvers
 
@@ -46,3 +52,19 @@ def test_package_names_the_benchmark_uses_resolve():
                 assert hasattr(module, node.attr), f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
     # The output checks expand each YES verdict's cover through this property.
     assert isinstance(solvers.Verdict.witnesses, property)
+
+
+@pytest.mark.slow
+def test_benchmark_output_checks_pass_on_the_slowest_workload():
+    # One pass of p1-memoryless with every output checked, as a
+    # benchmark run checks it; no bytecode or trace file is written.
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "p1-memoryless",
+         "--seed", "5", "--seconds", "1", "--trace", "0"],
+        cwd=PERFBENCH.parent, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stdout
+    assert result["failed"] == 0, done.stdout

@@ -376,9 +376,9 @@ class TestCircuitSearchAgainstOracle:
         real = graphs.max_support_solution
         calls = []
 
-        def counted(sys_):
+        def counted(sys_, out):
             calls.append(len(sys_.variables))
-            return real(sys_)
+            return real(sys_, out)
 
         monkeypatch.setattr(graphs, "max_support_solution", counted)
         rng = random.Random(1009)

@@ -80,7 +80,7 @@ def test_support_probe_matches_membership():
     for var, positive in (("x1", True), ("x2", True), ("x3", False)):
         probe = [1 if v == var else 0 for v in sys_.variables]
         assert (lp_feasible(plus(sys_, constraint(probe, ">=", 1))).status == "feasible") == positive
-    assert max_support_solution(sys_)[1] == {"x1", "x2"}
+    assert max_support_solution(sys_, lp_feasible(sys_))[1] == {"x1", "x2"}
 
 
 def test_max_support_decoupled_variables():
@@ -93,7 +93,7 @@ def test_max_support_decoupled_variables():
             ((0, -1), ">=", -1),
         ],
     )
-    out, support = max_support_solution(sys_)
+    out, support = max_support_solution(sys_, lp_feasible(sys_))
     assert out.status == "feasible"
     assert support == {"x", "y"}
     assert satisfies(sys_, out.assignment)
@@ -109,7 +109,7 @@ def test_max_support_excludes_forced_zero():
             ((0, 1), "=", 0),
         ],
     )
-    out, support = max_support_solution(sys_)
+    out, support = max_support_solution(sys_, lp_feasible(sys_))
     assert out.status == "feasible"
     assert support == {"x"}
     assert out.assignment["y"] == 0
@@ -128,7 +128,7 @@ def test_max_support_two_disjoint_cycles():
             ((0, -1), ">=", -2),
         ],
     )
-    out, support = max_support_solution(sys_)
+    out, support = max_support_solution(sys_, lp_feasible(sys_))
     assert out.status == "feasible"
     assert support == {"xa", "xb"}
     assert all(out.assignment[v] > 0 for v in support)
@@ -138,14 +138,14 @@ def test_max_support_point_stays_in_a_capped_set():
     # On x + y = 1 the first point is a vertex and the wider one the
     # other vertex; their sum leaves the set, their midpoint does not.
     sys_ = system(["x", "y"], [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((1, 1), "=", 1)])
-    out, support = max_support_solution(sys_)
+    out, support = max_support_solution(sys_, lp_feasible(sys_))
     assert support == {"x", "y"}
     assert satisfies(sys_, out.assignment)
 
 
 def test_max_support_propagates_infeasible():
     sys_ = system(["x"], [((1,), ">=", 1), ((-1,), ">=", 0)])
-    out, support = max_support_solution(sys_)
+    out, support = max_support_solution(sys_, lp_feasible(sys_))
     assert out.status == "infeasible"
     assert support == frozenset()
 
@@ -186,7 +186,8 @@ def test_malformed_system_rejected():
     with pytest.raises(LpError):
         lp_feasible(system(["x"], [((1, 2), ">=", 0)]))
     with pytest.raises(LpError):
-        max_support_solution(system(["x"], [((1, 2), ">=", 0)]))
+        bad = system(["x"], [((1, 2), ">=", 0)])
+        max_support_solution(bad, lp_feasible(bad))
 
 
 @given(st.data())
@@ -252,7 +253,7 @@ def test_bool_entries_behave_like_ints():
     ints, bools = system(["x", "y"], rows), system(["x", "y"], as_bools)
     assert bools == ints
     assert lp_feasible(bools) == lp_feasible(ints)
-    assert max_support_solution(bools) == max_support_solution(ints)
+    assert max_support_solution(bools, lp_feasible(bools)) == max_support_solution(ints, lp_feasible(ints))
 
 
 _rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -289,7 +290,8 @@ def test_scaling_a_row_keeps_the_lp_answers(data):
         if a.status == "feasible":
             assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)
         if base is cone:
-            (a, support_a), (b, support_b) = max_support_solution(sys_), max_support_solution(sys_q)
+            a, support_a = max_support_solution(sys_, lp_feasible(sys_))
+            b, support_b = max_support_solution(sys_q, lp_feasible(sys_q))
             assert (a.status, support_a) == (b.status, support_b)
             if a.status == "feasible":
                 assert satisfies(sys_, a.assignment) and satisfies(sys_, b.assignment)

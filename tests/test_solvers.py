@@ -40,6 +40,7 @@ from mwg import (
     verify_p2_cover,
     verify_p2_spoiler,
 )
+from mwg import solvers
 from mwg.solvers import _first_uncovered
 from oracles import (
     bounded_circulation_oracle,
@@ -457,6 +458,28 @@ def stem_choice_game(p2_start):
     return GameStructure(1, tuple(states), "p" if p2_start else "a", tuple(edges))
 
 
+def hop_game(init, states, edges):
+    """Game from (id, owner) states and (id, src, dst, weight) edges."""
+    return GameStructure(
+        len(edges[0][3]),
+        tuple([State(*s) for s in states]),
+        init,
+        tuple([Edge(*e) for e in edges]),
+    )
+
+
+def solve_without_graph_search(g, monkeypatch):
+    """solve_memoryless_p1_energy(g), asserting that every candidate was
+    settled by play alone, with no negative-cycle search."""
+    searches = []
+    search = solvers.negative_cycle_in_dimension
+    monkeypatch.setattr(solvers, "negative_cycle_in_dimension", lambda *a: searches.append(a) or search(*a))
+    v = solve_memoryless_p1_energy(g)
+    monkeypatch.undo()
+    assert searches == []
+    return v
+
+
 class TestMemorylessNogoods:
     @pytest.mark.parametrize("p2_start", [False, True])
     def test_nogood_keeps_the_stem_choice(self, p2_start):
@@ -479,6 +502,55 @@ class TestMemorylessNogoods:
         games = p1_corpus(73, games=10000, knapsacks=24, items=(10, 12), formulas=200)
         answers = [assert_first_p1_winner(g) for g in games]
         assert 2000 < sum(answers) < len(answers) - 2000
+
+    # Play steps from choice to choice over chains of single-edge states;
+    # these games put such chains where a hop is easy to get wrong.
+
+    def test_init_inside_a_single_edge_loop(self, monkeypatch):
+        # a -> b -> a is negative and all that is reachable, so every
+        # choice at the unreachable c loses, with no graph search.
+        g = hop_game("a", [("a", 1), ("b", 2), ("c", 1)], [
+            ("ab", "a", "b", (-1,)), ("ba", "b", "a", (0,)),
+            ("c1", "c", "c", (0,)), ("c2", "c", "c", (1,)),
+        ])
+        assert not solve_without_graph_search(g, monkeypatch).answer
+        assert not assert_first_p1_winner(g)
+
+    def test_chain_into_a_single_edge_loop(self, monkeypatch):
+        # a1 runs into the negative loop x -> y -> x; a2 reaches c, whose
+        # first loop is negative too. Play settles the loop itself, with
+        # no graph search.
+        g = hop_game("a", [("a", 1), ("x", 1), ("y", 2), ("c", 1)], [
+            ("a1", "a", "x", (0,)), ("a2", "a", "c", (0,)),
+            ("xy", "x", "y", (1,)), ("yx", "y", "x", (-2,)),
+            ("c1", "c", "c", (-1,)), ("c2", "c", "c", (0,)),
+        ])
+        assert solve_without_graph_search(g, monkeypatch).strategy.choice == {"a": "a2", "c": "c2", "x": "xy"}
+        assert assert_first_p1_winner(g)
+
+    def test_chains_merging_before_the_next_choice(self, monkeypatch):
+        # p1 and q1 both lead into m, whose one edge goes back to p. With
+        # (p2, q1) the play m p q m closes its cycle at m; hop by hop it
+        # closes at p over the same edges, -1 in total. Only the first
+        # edge of each hop carries the loss.
+        g = hop_game("m", [("m", 2), ("p", 1), ("q", 1)], [
+            ("mp", "m", "p", (1,)),
+            ("p1", "p", "m", (-2,)), ("p2", "p", "q", (1,)),
+            ("q1", "q", "m", (-3,)), ("q2", "q", "q", (0,)),
+        ])
+        assert solve_without_graph_search(g, monkeypatch).strategy.choice == {"p": "p2", "q": "q2"}
+        assert assert_first_p1_winner(g)
+
+    def test_single_edge_player2_state_inside_a_chain(self, monkeypatch):
+        # a1 passes r, a Player-2 state with one edge, on the way to b.
+        # Play stays deterministic, so no candidate needs a graph search.
+        g = hop_game("a", [("a", 1), ("r", 2), ("b", 1)], [
+            ("a1", "a", "r", (0, 1)), ("a2", "a", "b", (0, 0)),
+            ("rb", "r", "b", (-1, 0)),
+            ("b1", "b", "a", (1, -1)), ("b2", "b", "b", (0, -1)),
+        ])
+        assert solve_without_graph_search(g, monkeypatch).strategy.choice == {"a": "a1", "b": "b1"}
+        assert assert_first_p1_winner(g)
 
     def test_full_cubes_visit_every_vector_once_in_product_order(self):
         sizes = [2, 3, 1, 2]
