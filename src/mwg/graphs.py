@@ -254,20 +254,13 @@ def _rec_sccs(recs: list[_Rec]) -> list[list[int]]:
 
 
 def _weakly_connected(recs: list[_Rec]) -> bool:
-    parent: dict[Vertex, Vertex] = {}
-
-    def find(x: Vertex) -> Vertex:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    if not recs:
+        return True
+    adj: dict[Vertex, list] = {}
     for src, dst, _, _ in recs:
-        parent.setdefault(src, src)
-        parent.setdefault(dst, dst)
-        parent[find(src)] = find(dst)
-    roots = {find(v) for v in parent}
-    return len(roots) <= 1
+        adj.setdefault(src, []).append((None, dst))
+        adj.setdefault(dst, []).append((None, src))
+    return len(reachable(recs[0][0], adj.__getitem__)) == len(adj)
 
 
 def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
@@ -320,10 +313,6 @@ def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     for d in range(dimension):
         rows.append(([r[2][d] for r in recs], relation, 0))
     rows.append(([1] * len(recs), ">=", 1))
-    for i in range(len(recs)):
-        coeffs = [0] * len(recs)
-        coeffs[i] = 1
-        rows.append((coeffs, ">=", 0))
     return system(names, rows), names
 
 

@@ -1,13 +1,13 @@
-"""Exact linear feasibility over rationals.
+"""Exact linear feasibility over nonnegative rationals.
 
-A small dictionary-form simplex with Bland's pivoting rule. Rows are
-integers from construction on: `constraint` multiplies a row with
-rational entries by the lcm of its denominators, and the tableau is
+A small dictionary-form simplex with Bland's pivoting rule. Every
+variable is nonnegative and every row is integer, which is what the
+circulation systems of the circuit-detection code are: edge
+multiplicities under integer balance and weight rows. The tableau is
 pivoted fraction-free (all divisions exact), so feasibility answers
 carry no floating-point tolerance at all. `Fraction` appears only where
-a value really is rational: nonzero lower bounds and the extracted
-assignment. Sized for the circulation systems built by the
-circuit-detection code: tens of variables, not thousands.
+a value really is rational: positive lower bounds and the extracted
+assignment. Sized for those systems: tens of variables, not thousands.
 """
 
 from __future__ import annotations
@@ -22,46 +22,27 @@ from .errors import LpError
 _RELATIONS = ("=", ">=")
 
 
-def _scaled(values: Sequence) -> list[int]:
-    """A rational vector times the lcm of its denominators."""
-    exact = [Fraction(x) for x in values]
-    scale = lcm(*[x.denominator for x in exact])
-    return [x.numerator * (scale // x.denominator) for x in exact]
-
-
 @dataclass(frozen=True)
 class Constraint:
-    """coeffs . x (relation) rhs, stored with integer entries: a row with
-    rational entries is multiplied by the lcm of its denominators, a
-    positive factor that leaves its solution set unchanged. An all-integer
-    row is kept as given."""
+    """coeffs . x (relation) rhs, with integer entries."""
 
     coeffs: tuple[int, ...]
     relation: str  # "=" or ">="
     rhs: int
 
-    def __post_init__(self) -> None:
-        if not {type(self.rhs), *map(type, self.coeffs)} <= {int}:
-            *coeffs, rhs = _scaled((*self.coeffs, self.rhs))
-            object.__setattr__(self, "coeffs", tuple(coeffs))
-            object.__setattr__(self, "rhs", rhs)
-
 
 @dataclass(frozen=True)
 class LinearConstraintSystem:
+    """Constraints over the named variables, each of them >= 0."""
+
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-
-
-def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
-    """Build a constraint; rational entries are scaled to integers."""
-    return Constraint(tuple(coeffs), relation, rhs)
 
 
 def system(variables: Iterable[str], rows: Iterable[tuple]) -> LinearConstraintSystem:
     """Build a system from (coeffs, relation, rhs) triples."""
     return LinearConstraintSystem(
-        tuple(variables), tuple([constraint(c, rel, r) for c, rel, r in rows])
+        tuple(variables), tuple([Constraint(tuple(c), rel, r) for c, rel, r in rows])
     )
 
 
@@ -81,6 +62,10 @@ def _validate(sys_: LinearConstraintSystem) -> None:
             raise LpError(
                 f"constraint has {len(c.coeffs)} coefficients for {len(sys_.variables)} variables"
             )
+        # bool is an int subclass; a Fraction would be floor-divided in
+        # _pivot and give a wrong answer without any error.
+        if not all([issubclass(t, int) for t in {type(c.rhs), *map(type, c.coeffs)}]):
+            raise LpError(f"constraint entries must be integers: {c.coeffs} {c.relation} {c.rhs}")
 
 
 class _Simplex:
@@ -103,8 +88,8 @@ class _Simplex:
 
     def _presolve(self) -> None:
         # Absorb single-variable lower-bound rows (a*x >= r, a > 0) into a
-        # bound so circulation nonnegativity costs no tableau rows.
-        self.lower: list[Fraction | None] = [None] * self.n
+        # bound, which costs no tableau row.
+        self.lower: list[Fraction] = [Fraction(0)] * self.n
         kept: list[tuple[Sequence[int], str, int]] = []
         for c in self.sys.constraints:
             nz = [j for j, a in enumerate(c.coeffs) if a]
@@ -116,26 +101,16 @@ class _Simplex:
                 continue
             if c.relation == ">=" and len(nz) == 1 and c.coeffs[nz[0]] > 0:
                 j = nz[0]
-                bound = Fraction(c.rhs, c.coeffs[j])
-                if self.lower[j] is None or bound > self.lower[j]:
-                    self.lower[j] = bound
+                self.lower[j] = max(self.lower[j], Fraction(c.rhs, c.coeffs[j]))
                 continue
             kept.append((c.coeffs, c.relation, c.rhs))
         self.rows = kept
 
     def _build(self) -> None:
-        # Column layout: shifted/split structural columns, then surpluses,
-        # then artificials, then the rhs. Free variables split x = y+ - y-.
-        cols: list[tuple[str, int]] = []
-        for j in range(self.n):
-            if self.lower[j] is not None:
-                cols.append(("shift", j))
-            else:
-                cols.append(("pos", j))
-                cols.append(("neg", j))
-        self.cols = cols
+        # Column layout: the structural columns, each variable shifted by
+        # its lower bound, then surpluses, then artificials, then the rhs.
         n_surplus = sum(1 for _, rel, _ in self.rows if rel == ">=")
-        width = len(cols) + n_surplus  # non-artificial columns
+        width = self.n + n_surplus  # non-artificial columns
         shifts = [(j, b) for j, b in enumerate(self.lower) if b]
 
         # Scale each row by the denominator of its shifted rhs and flip it
@@ -143,11 +118,11 @@ class _Simplex:
         # surplus column basic (each surplus column is nonzero only in its
         # own row); every other row gets an artificial.
         built = []
-        surplus = len(cols)
+        surplus = self.n
         for coeffs, rel, rhs in self.rows:
             rhs2 = rhs - sum(coeffs[j] * b for j, b in shifts)
             m = -rhs2.denominator if rhs2 < 0 else rhs2.denominator
-            row = [m * coeffs[j] if kind != "neg" else -m * coeffs[j] for kind, j in cols]
+            row = [m * a for a in coeffs]
             built.append((row, surplus if rel == ">=" else None, m, abs(rhs2.numerator)))
             surplus += rel == ">="
         n_art = sum(1 for _, s, m, _ in built if s is None or m > 0)
@@ -156,7 +131,7 @@ class _Simplex:
         self.basis: list[int] = []
         art_rows: list[int] = []
         for row, s, m, rhs in built:
-            row += [0] * (self.total_cols - len(cols))
+            row += [0] * (self.total_cols - self.n)
             row.append(rhs)
             if s is not None:
                 row[s] = -m
@@ -223,17 +198,13 @@ class _Simplex:
     # -- extraction ----------------------------------------------------------
 
     def _assignment(self) -> dict[str, Fraction]:
-        values = [
-            self.lower[j] if self.lower[j] is not None else Fraction(0) for j in range(self.n)
-        ]
+        values = list(self.lower)
         for i, q in enumerate(self.basis):
-            if q >= len(self.cols):
+            if q >= self.n:
                 continue  # a surplus, or an artificial at zero
-            kind, j = self.cols[q]
             # Rows never pivoted keep their original scaling, so divide by
             # the basic coefficient rather than by D.
-            val = Fraction(self.T[i][-1], self.T[i][q])
-            values[j] += val if kind != "neg" else -val
+            values[q] += Fraction(self.T[i][-1], self.T[i][q])
         return {v: values[j] for j, v in enumerate(self.sys.variables)}
 
     def solve(self) -> LpOutcome:
@@ -257,16 +228,15 @@ def max_support_solution(
 ) -> tuple[LpOutcome, frozenset[str]]:
     """Feasible point whose support is the union of supports of all feasible points.
 
-    Precondition: every variable is constrained >= 0 in the system and all
-    constraints except at most one lower bound on the total sum are
-    homogeneous (true for the circulation systems this serves). Then a
-    feasible point positive at v scales up to one with x_v >= 1, so the
-    system plus sum(x_v for v outside the current support) >= 1 is
-    feasible exactly when some feasible point leaves that support. While
-    it is, the midpoint of the current point and the new one is feasible
-    (the feasible set is convex) and positive on both supports, so the
-    support grows; at most one solve per variable. `out` is the outcome of
-    `lp_feasible(sys_)`, which the caller already holds.
+    Precondition: all constraints except at most one lower bound on the
+    total sum are homogeneous (true for the circulation systems this
+    serves). Then a feasible point positive at v scales up to one with
+    x_v >= 1, so the system plus sum(x_v for v outside the current
+    support) >= 1 is feasible exactly when some feasible point leaves
+    that support. While it is, the midpoint of the current point and the
+    new one is feasible (the feasible set is convex) and positive on both
+    supports, so the support grows; at most one solve per variable. `out`
+    is the outcome of `lp_feasible(sys_)`, which the caller already holds.
     """
     if out.status != "feasible":
         return LpOutcome("infeasible"), frozenset()

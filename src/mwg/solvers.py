@@ -563,17 +563,8 @@ def _canonical_machine(
 ) -> tuple:
     """Signature of a Moore machine under breadth-first relabeling of the
     reachable memory states (unreachable ones dropped)."""
-    order = [memory[0]]
-    rank = {memory[0]: 0}
-    qi = 0
-    while qi < len(order):
-        m = order[qi]
-        qi += 1
-        for s in states:
-            nxt = update[(m, s)]
-            if nxt not in rank:
-                rank[nxt] = len(order)
-                order.append(nxt)
+    order = graphs.reachable(memory[0], lambda m: [(None, update[(m, s)]) for s in states])
+    rank = {m: i for i, m in enumerate(order)}
     sig = []
     for m in order:
         for s in states:

@@ -55,11 +55,12 @@ def test_package_names_the_benchmark_uses_resolve():
 
 
 @pytest.mark.slow
-def test_benchmark_output_checks_pass_on_the_slowest_workload():
-    # One pass of p1-memoryless with every output checked, as a
-    # benchmark run checks it; no bytecode or trace file is written.
+@pytest.mark.parametrize("workload", ["p2-3sat", "p2-dense", "p1-memoryless"])
+def test_benchmark_output_checks_pass_on_each_workload(workload):
+    # One pass of the workload with every output checked, as a benchmark
+    # run checks it; no bytecode or trace file is written.
     done = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "p1-memoryless",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "5", "--seconds", "1", "--trace", "0"],
         cwd=PERFBENCH.parent, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True, timeout=600,

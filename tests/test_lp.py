@@ -14,7 +14,6 @@ from mwg import LpError
 from mwg.lp import (
     Constraint,
     LinearConstraintSystem,
-    constraint,
     integer_scale,
     lp_feasible,
     max_support_solution,
@@ -79,7 +78,7 @@ def test_support_probe_matches_membership():
     )
     for var, positive in (("x1", True), ("x2", True), ("x3", False)):
         probe = [1 if v == var else 0 for v in sys_.variables]
-        assert (lp_feasible(plus(sys_, constraint(probe, ">=", 1))).status == "feasible") == positive
+        assert (lp_feasible(plus(sys_, Constraint(tuple(probe), ">=", 1))).status == "feasible") == positive
     assert max_support_solution(sys_, lp_feasible(sys_))[1] == {"x1", "x2"}
 
 
@@ -209,6 +208,23 @@ def test_feasible_assignments_satisfy_exactly(data):
     out = lp_feasible(sys_)
     if out.status == "feasible":
         assert satisfies(sys_, out.assignment)
+        assert all(x >= 0 for x in out.assignment.values())
+
+
+def test_variables_are_nonnegative():
+    # Each system is feasible only if some variable may go negative.
+    for rows in (
+        [((1,), "=", -1)],
+        [((1, 1), "=", 1), ((1, -1), ">=", 3)],
+        [((1, 1), ">=", -2), ((-1, 0), ">=", 1)],
+    ):
+        names = ["x", "y"][: len(rows[0][0])]
+        assert lp_feasible(system(names, rows)).status == "infeasible"
+    # A negative lower bound is weaker than x >= 0, so it moves no point.
+    sys_ = system(["x", "y"], [((1, 0), ">=", -3), ((1, 1), ">=", -5)])
+    out = lp_feasible(sys_)
+    assert out.status == "feasible"
+    assert out.assignment == {"x": 0, "y": 0}
 
 
 def test_many_redundant_rows_need_no_recursion():
@@ -223,28 +239,31 @@ def test_many_redundant_rows_need_no_recursion():
 
 
 def test_constraint_rows_are_integers():
-    cases = [
-        ((1, -2, 0), 3, (1, -2, 0), 3),
-        ((Fraction(1, 2), Fraction(-1, 3), 0), Fraction(5, 4), (6, -4, 0), 15),
-        ((Fraction(4, 2), 6), Fraction(8, 4), (2, 6), 2),
-        ((True, False, 2), True, (1, 0, 2), 1),
-    ]
-    for coeffs, rhs, want_coeffs, want_rhs in cases:
-        for c in (constraint(coeffs, ">=", rhs), Constraint(coeffs, ">=", rhs)):
-            assert (c.coeffs, c.rhs) == (want_coeffs, want_rhs)
-            assert all(type(x) is int for x in (*c.coeffs, c.rhs))
+    # Integer and bool rows are kept as given and solved; a rational
+    # entry anywhere in a row is refused, even an integral one, rather
+    # than floor-divided in a pivot.
+    names = ["x", "y", "z"]
+    for coeffs, rhs in (((1, -2, 0), 3), ((True, False, 2), True)):
+        sys_ = system(names, [(coeffs, ">=", rhs)])
+        (c,) = sys_.constraints
+        assert [(type(x), x) for x in (*c.coeffs, c.rhs)] == [(type(x), x) for x in (*coeffs, rhs)]
+        assert lp_feasible(sys_).status == "feasible"
+    for coeffs, rhs in (((Fraction(1, 2), 1, 0), 3), ((1, 1, 0), Fraction(5, 4)), ((Fraction(4, 2), 6, 0), 2)):
+        with pytest.raises(LpError):
+            lp_feasible(system(names, [(coeffs, ">=", rhs)]))
 
 
 def test_directly_built_rational_constraints_solve_exactly():
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    rows = [((half, third), ">=", 1), ((-1, 0), ">=", -third), ((1, 0), ">=", 0), ((0, 1), ">=", 0)]
-    sys_ = LinearConstraintSystem(("x", "y"), tuple(Constraint(c, rel, r) for c, rel, r in rows))
+    # x/2 + y/3 >= 1 and x <= 1/3, multiplied through to integer rows.
+    rows = [((3, 2), ">=", 6), ((-3, 0), ">=", -1), ((1, 0), ">=", 0), ((0, 1), ">=", 0)]
+    sys_ = LinearConstraintSystem(("x", "y"), tuple([Constraint(c, rel, r) for c, rel, r in rows]))
     out = lp_feasible(sys_)
     assert out.status == "feasible"
     assert satisfies(sys_, out.assignment)
-    # The least x + y is exactly 1/3 + 5/2 (x = 1/3, y = 5/2).
-    for bound, status in ((third + Fraction(5, 2), "feasible"), (third + Fraction(249, 100), "infeasible")):
-        assert lp_feasible(plus(sys_, Constraint((-1, -1), ">=", -bound))).status == status
+    # The least x + y is exactly 1/3 + 5/2 = 17/6 (x = 1/3, y = 5/2):
+    # x + y <= 17/6 is feasible, x + y <= 847/300 = 1/3 + 249/100 is not.
+    for row, rhs, status in (((-6, -6), -17, "feasible"), ((-300, -300), -847, "infeasible")):
+        assert lp_feasible(plus(sys_, Constraint(row, ">=", rhs))).status == status
 
 
 def test_bool_entries_behave_like_ints():
@@ -256,23 +275,22 @@ def test_bool_entries_behave_like_ints():
     assert max_support_solution(bools, lp_feasible(bools)) == max_support_solution(ints, lp_feasible(ints))
 
 
-_rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-_multiplier = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+_entry = st.integers(-4, 4)
+_multiplier = st.integers(1, 9)
 
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_scaling_a_row_keeps_the_lp_answers(data):
-    # Rows are scaled to integers at construction, so a row and its
-    # positive multiple describe the same half-space or hyperplane. Which
-    # feasible point phase 1 reaches may differ (each row's scale weighs
-    # its artificial), but feasibility and the maximal support may not,
-    # and every point must satisfy the unscaled system.
+    # A row and its positive multiple describe the same half-space or
+    # hyperplane. Which feasible point phase 1 reaches may differ (each
+    # row's scale weighs its artificial), but feasibility and the maximal
+    # support may not, and every point must satisfy the unscaled system.
     n = data.draw(st.integers(1, 3))
     names = [f"x{i}" for i in range(n)]
-    vector = st.lists(_rational, min_size=n, max_size=n)
+    vector = st.lists(_entry, min_size=n, max_size=n)
     rows = data.draw(
-        st.lists(st.tuples(vector, st.sampled_from(["=", ">="]), _rational), min_size=1, max_size=5)
+        st.lists(st.tuples(vector, st.sampled_from(["=", ">="]), _entry), min_size=1, max_size=5)
     )
     # The shape max_support_solution requires: a homogeneous cone in the
     # nonnegative orthant, cut by one total-sum bound.
