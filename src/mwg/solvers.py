@@ -19,6 +19,7 @@ some cube; `verify_p2_cover` checks one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -517,6 +518,24 @@ def clamped_fixed_credit_oracle(g: GameStructure, v0: WeightVector, cap: int) ->
     Clamping discards surplus above cap, so True underapproximates
     Player 1's power in the real fixed-credit game: True implies Player 1
     wins with credit v0, False is inconclusive.
+
+    More energy never hurts, so the energies from which Player 1 wins at
+    a state form an upward-closed subset of [0..cap]^k, kept as its
+    minimal credits. These sets are computed as a greatest fixpoint over
+    the states reachable from the initial one: each starts as
+    {(0, ..., 0)}, the whole box, and is recomputed from a FIFO worklist,
+    which takes a state's predecessors again when its set changes. An
+    edge of weight w into a state with minimal credit m is safe from
+    exactly the energies x >= max(0, m - w), and only if m - w <= cap:
+    since m <= cap, min(x + w, cap) >= m holds iff x + w >= m, and no
+    energy above cap is ever held. A Player-1 state takes the union over
+    its edges, a Player-2 state the intersection (componentwise maxima).
+
+    Every iterate contains the fixpoint, so the answer is False as soon
+    as v0 dominates no minimal credit of the initial state. Each change
+    strictly shrinks an upward-closed subset of [0..cap]^k, so there are
+    at most |S|·(cap+1)^k changes; the sets themselves only hold the
+    credits the game forces, however large the cap.
     """
     _require_valid(g)
     if len(v0) != g.dimension:
@@ -525,37 +544,62 @@ def clamped_fixed_credit_oracle(g: GameStructure, v0: WeightVector, cap: int) ->
         raise ValueError("credit components must be nonnegative")
     if any(c > cap for c in v0):
         raise ValueError("cap is smaller than a credit component")
-    # Explore (state, clamped energy) pairs, keeping each pair's
-    # predecessors and a count of its moves that keep it alive: for
-    # Player 1 its safe moves, for Player 2 one if all its moves are safe.
-    start = (g.init, tuple(v0))
-    preds: dict[tuple, list[tuple]] = {start: []}
-    live: dict[tuple, int] = {}
-    queue = [start]
-    for vtx in queue:
-        sid, energy = vtx
-        safe, out = 0, g.out_edges(sid)
-        for e in out:
-            ne = tuple([c + w for c, w in zip(energy, e.weight)])
-            if min(ne) < 0:
-                continue  # losing move
-            safe += 1
-            tgt = (e.dst, tuple([min(c, cap) for c in ne]))
-            if tgt not in preds:
-                preds[tgt] = []
-                queue.append(tgt)
-            preds[tgt].append(vtx)
-        live[vtx] = safe if g.owner(sid) == 1 else int(safe == len(out))
-    # Player 2's attractor: a pair is lost once its count drops to zero,
-    # and each lost pair takes one count from every move into it.
-    lost = [vtx for vtx in queue if not live[vtx]]
-    for vtx in lost:
-        for u in preds[vtx]:
-            if live[u]:
-                live[u] -= 1
-                if not live[u]:
-                    lost.append(u)
-    return live[start] > 0
+    order = graphs.reachable(g.init, lambda s: [(None, e.dst) for e in g.out_edges(s)])
+    preds: dict[str, list[str]] = {s: [] for s in order}
+    for s in order:
+        for e in g.out_edges(s):
+            preds[e.dst].append(s)
+    credits = {s: [tuple([0] * g.dimension)] for s in order}
+    queue = deque(order)
+    queued = set(order)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        pres = [_credits_through(credits[e.dst], e.weight, cap) for e in g.out_edges(s)]
+        if g.owner(s) == 1:
+            new = _minimal([m for pre in pres for m in pre])
+        else:
+            new = _minimal(pres[0])
+            for pre in pres[1:]:
+                new = _minimal([tuple([a if a > b else b for a, b in zip(x, y)]) for x in new for y in pre])
+        if new == credits[s]:
+            continue
+        credits[s] = new
+        if s == g.init and not _covers(v0, new):
+            return False
+        for p in preds[s]:
+            if p not in queued:
+                queued.add(p)
+                queue.append(p)
+    return _covers(v0, credits[g.init])
+
+
+def _credits_through(target: list[tuple[int, ...]], w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
+    """Least clamped energies from which an edge of weight w reaches one
+    of the target's minimal credits (not minimised)."""
+    out = []
+    for m in target:
+        need = [a - b for a, b in zip(m, w)]
+        if max(need) <= cap:
+            out.append(tuple([c if c > 0 else 0 for c in need]))
+    return out
+
+
+def _minimal(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The componentwise-minimal points, sorted. A point sorts after every
+    point it dominates, so one pass keeps exactly the minimal ones."""
+    if len(points) < 2:
+        return points
+    kept: list[tuple[int, ...]] = []
+    for p in sorted(set(points)):
+        if not _covers(p, kept):
+            kept.append(p)
+    return kept
+
+
+def _covers(x: Sequence[int], minimal: list[tuple[int, ...]]) -> bool:
+    """Whether x dominates some point of minimal componentwise."""
+    return any(all([a >= b for a, b in zip(x, m)]) for m in minimal)
 
 
 def _canonical_machine(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -614,6 +615,77 @@ class TestClampedOracle:
             assert won == clamped_fixpoint_reference(g, v0, cap)
             wins += won
         assert 600 < wins < 2400
+
+    @pytest.mark.parametrize("seed, games, max_states, max_edges, lo, hi", [
+        (41, 300, 5, 9, -1, 2),
+        pytest.param(43, 1500, 8, 16, -2, 3, marks=pytest.mark.slow),
+    ])
+    def test_matches_the_fixpoint_sweep_up_to_four_dimensions(self, seed, games, max_states, max_edges, lo, hi):
+        rng = random.Random(seed)
+        answers = collections.Counter()
+        branching_p2 = unreachable = 0
+        for _ in range(games):
+            g = rand_game(rng, max_states=max_states, max_edges=max_edges, max_k=4, lo=lo, hi=hi)
+            cap = rng.randint(0, 10)
+            v0 = tuple([rng.randint(0, cap) for _ in range(g.dimension)])
+            won = clamped_fixed_credit_oracle(g, v0, cap)
+            assert won == clamped_fixpoint_reference(g, v0, cap), (g, v0, cap)
+            answers[g.dimension, won] += 1
+            branching_p2 += any(s.owner == 2 and len(g.out_edges(s.id)) > 1 for s in g.states)
+            seen = reachable_subgraph(as_multigraph(g), g.init).vertices
+            unreachable += len(seen) < len(g.states)
+        assert set(answers) == set(itertools.product(range(1, 5), (False, True)))
+        yes = sum([n for (_, won), n in answers.items() if won])
+        assert games / 4 <= yes <= games * 3 / 4
+        assert branching_p2 > games / 3 and unreachable > games / 4
+
+    def test_clamping_loses_surplus(self):
+        # The +5 is kept only up to the cap, and the -5 needs all of it.
+        g = hop_game("a", [("a", 1), ("b", 1)], [("up", "a", "b", (5,)), ("down", "b", "a", (-5,))])
+        assert not clamped_fixed_credit_oracle(g, (0,), 4)
+        assert clamped_fixed_credit_oracle(g, (0,), 5)
+
+    def test_a_later_gain_pays_no_earlier_debt(self):
+        # The stall branch takes a few rounds to lose, so the answer at
+        # credit 0 rests on the debt alone.
+        g = hop_game("p", [("p", 1), ("a", 1), ("b", 1), ("d", 1)], [
+            ("pay", "p", "a", (-1,)), ("gain", "a", "b", (1,)), ("stay", "b", "b", (0,)),
+            ("stall", "p", "d", (0,)), ("drain", "d", "d", (-1,)),
+        ])
+        assert not clamped_fixed_credit_oracle(g, (0,), 3)
+        assert clamped_fixed_credit_oracle(g, (1,), 3)
+
+    @pytest.mark.parametrize("owner", [1, 2])
+    def test_player2_takes_a_deadly_edge_player1_a_safe_one(self, owner):
+        g = hop_game("s", [("s", owner)], [("safe", "s", "s", (0,)), ("deadly", "s", "s", (-4,))])
+        assert clamped_fixed_credit_oracle(g, (3,), 3) == (owner == 1)
+
+    def test_early_no_exit_answers_as_the_reference(self, monkeypatch):
+        # s1's set shrinks for three rounds before it settles at {(0, 3)};
+        # a credit with no first component is refuted by the first look at
+        # s0, before then.
+        g = hop_game("s0", [("s0", 2), ("s1", 1), ("s2", 1)], [
+            ("a", "s0", "s1", (-1, 0)), ("b", "s0", "s2", (0, 0)),
+            ("loop", "s1", "s1", (0, -1)), ("exit", "s1", "s2", (0, -3)),
+            ("stay", "s2", "s2", (0, 0)),
+        ])
+        for v0 in itertools.product(range(7), repeat=2):
+            won = v0[0] >= 1 and v0[1] >= 3
+            assert clamped_fixed_credit_oracle(g, v0, 6) == clamped_fixpoint_reference(g, v0, 6) == won
+        steps = []
+        through = solvers._credits_through
+        monkeypatch.setattr(solvers, "_credits_through", lambda *a: steps.append(a) or through(*a))
+        assert not clamped_fixed_credit_oracle(g, (0, 6), 6)
+        early = len(steps)
+        assert clamped_fixed_credit_oracle(g, (1, 6), 6)
+        assert early < len(steps) - early
+
+    def test_cost_does_not_grow_with_the_cap(self):
+        # From (0, 0) the two loops reach every energy pair up to the cap:
+        # 10**12 of them, none of which the minimal credits need.
+        two_loops = hop_game("s", [("s", 1)], [("x", "s", "s", (1, 0)), ("y", "s", "s", (0, 1))])
+        for g in [single_loop_game((1, 1)), two_loops]:
+            assert clamped_fixed_credit_oracle(g, (0, 0), 10**6)
 
 
 class TestSearchFiniteMemory:
