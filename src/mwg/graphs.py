@@ -450,3 +450,33 @@ def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[
             return tuple([recs[r][3] for r in cycle])
         seen[v] = k - 1
     raise AssertionError("n-edge walk without repeated vertex")
+
+
+def _positive_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | None:
+    """A cycle of positive total weight reachable from node 0, as indices
+    into edges, or None if there is none; edges are (src, dst, weight)
+    over the nodes 0..n-1. Bellman-Ford for longest paths: without such a
+    cycle n-1 rounds settle every distance, so a change in round n means
+    one exists. The node changed last then holds more than any simple
+    path gives it, so its parent edges never lead back to the source
+    unchanged: n of them end on a cycle of parent edges, a positive one."""
+    dist: list[int | None] = [0] + [None] * (n - 1)
+    parent = [0] * n
+    for _ in range(n):
+        last = None
+        for x, (u, v, w) in enumerate(edges):
+            du = dist[u]
+            if du is not None and (dist[v] is None or du + w > dist[v]):
+                dist[v] = du + w
+                parent[v] = x
+                last = v
+        if last is None:
+            return None
+    for _ in range(n):
+        last = edges[parent[last]][0]
+    cycle, v = [], last
+    while True:
+        cycle.append(parent[v])
+        v = edges[parent[v]][0]
+        if v == last:
+            return cycle

@@ -120,9 +120,11 @@ class Verdict:
 @dataclass(frozen=True)
 class MemorylessVerdict:
     """Outcome of the memoryless-Player-1 variants. On Yes carries the
-    winning strategy and an initial credit for it; a No is by covering
-    nogood cubes (every candidate agrees with a losing lasso's choices)
-    and carries nothing."""
+    winning strategy and an initial credit for it. A No carries nothing:
+    the search found every candidate to agree with a losing lasso's
+    choices (a nogood cube) or to extend a refuted prefix, one whose
+    relaxed graph has no reachable cycle that is nonnegative in some
+    dimension."""
 
     answer: bool
     strategy: Optional[MemorylessStrategy] = None
@@ -159,6 +161,7 @@ def _first_uncovered(
     sizes: Sequence[int],
     cubes: Iterable[tuple[tuple[int, int], ...]],
     settle: Callable[[list[int]], Optional[tuple[tuple[int, int], ...]]],
+    prune: Optional[Callable[[list[int], int], bool]] = None,
 ) -> Optional[list[int]]:
     """First choice vector, in lexicographic order, that no cube contains.
 
@@ -172,6 +175,13 @@ def _first_uncovered(
     walk stops at that vector. None means the cubes contain every vector.
     Cubes passed in are always indexed; a learnt one only when it can
     still contain a later vector.
+
+    With a `prune` hook, each partial vector pick[: d + 1] that no cube
+    contains is offered as prune(pick, d) once position d is assigned;
+    True skips every vector extending it, as a contained prefix is
+    skipped, and indexes no cube. The hook is called for pick[: d + 1]
+    only after it returned False for pick[:d], so it may keep state per
+    depth.
     """
     m = len(sizes)
     # Cubes by deepest position and the option there; each entry keeps
@@ -188,7 +198,8 @@ def _first_uncovered(
     while True:
         if d < m:
             rests = by_last[d].get(pick[d])
-            if not rests or not any(all(pick[i] == o for i, o in rest) for rest in rests):
+            contained = rests and any(all(pick[i] == o for i, o in rest) for rest in rests)
+            if not contained and (prune is None or not prune(pick, d)):
                 d += 1
                 if d < m:
                     pick[d] = 0
@@ -204,8 +215,8 @@ def _first_uncovered(
             # no vector after this one, which the walk leaves for good.
             if len(cube) <= d:
                 by_last[d].setdefault(cube[-1][1], []).append(cube[:-1])
-        # Every vector extending pick[: d + 1] is contained: move on to
-        # the next partial vector in lexicographic order.
+        # Every vector extending pick[: d + 1] is contained or pruned:
+        # move on to the next partial vector in lexicographic order.
         while pick[d] + 1 == sizes[d]:
             d -= 1
             if d < 0:
@@ -234,6 +245,10 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
     if any, is the first in enumeration order.
     """
     _require_valid(g)
+    return _unknown_credit(g)
+
+
+def _unknown_credit(g: GameStructure) -> Verdict:
     k = g.dimension
     state_ids = [s.id for s in g.states]
     sindex = {sid: i for i, sid in enumerate(state_ids)}
@@ -312,7 +327,9 @@ def _as_fractions(v: Sequence, k: int) -> list[Fraction]:
 
 def threshold_shifted(g: GameStructure, v: Sequence) -> GameStructure:
     """Scale weights to clear the threshold's denominators, then shift so
-    that meeting threshold v in g becomes meeting 0 in the result."""
+    that meeting threshold v in g becomes meeting 0 in the result. Both
+    keep every invariant `validate_game` checks, so the threshold solvers
+    validate g and not the result."""
     vals = _as_fractions(v, g.dimension)
     c = lcm(*[x.denominator for x in vals]) if vals else 1
     scaled = scale_weights(g, c)
@@ -327,7 +344,7 @@ def solve_meanpayoff_threshold(g: GameStructure, v: Sequence) -> Verdict:
     and shifted game; the returned certificates refer to that game (same
     state and edge ids, weights shifted)."""
     _require_valid(g)
-    return solve_unknown_credit(threshold_shifted(g, v))
+    return _unknown_credit(threshold_shifted(g, v))
 
 
 def sufficient_credit(g: GameStructure, n: int) -> WeightVector:
@@ -417,62 +434,87 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     returned.
 
     Candidates are walked depth first over the Player-1 states with a
-    choice. A losing one is refuted by a negative cycle plus a shortest
-    stem to it from the initial state; every candidate that agrees with
-    it at the states the stem and cycle leave from (its nogood cube)
-    loses too, and the walk skips them all.
+    choice. Chains of single-edge states (either owner) are contracted
+    once per solve into a hop graph: its nodes are the choice states of
+    both players and the loops of single edges, and each option of a
+    choice state hops, with the chain's summed weight, to the next node.
 
-    Chains of single-edge states (either owner) are contracted once per
-    solve: each option of a choice state hops, with the chain's summed
-    weight, to the next state with a choice. While play meets only
-    Player-1 choices it is deterministic and steps hop by hop until a
-    choice state repeats; the cycle is the hops since then, the same
-    edges the state-by-state play would close, and the nogood is every
-    choice played. Play that runs into a loop of single-edge states
-    closes that loop, with the same nogood. Play that reaches a Player-2
+    Partial candidates are refuted on the way. The relaxed graph of a
+    prefix keeps only the picked hop at the positions it assigns and
+    every hop elsewhere, so it contains the graph of every completion; a
+    winner's reachable cycles are all nonnegative, and it has one. So if,
+    in some dimension, no cycle reachable in the relaxed graph is
+    nonnegative, no completion wins and the walk skips them all; at the
+    empty prefix that answers No before any candidate is tried. Each
+    dimension keeps a witness lasso, a nonnegative cycle and the stem to
+    it, per depth, and is searched again only when a pick cuts its
+    witness, as watched literals are. The search first plays the
+    prefix's picks, then the cut witness's options, then option 0 (at
+    Player-2 states too, whose hops are all kept); at the empty prefix
+    that is the first candidate's play, so a first candidate that wins
+    costs no further search. Else Bellman-Ford looks for a longest path
+    with the exact weights w*(n+1)+1, n the reachable nodes: a simple
+    cycle is positive there iff its weight w is nonnegative.
+
+    A full candidate that passes is its own relaxed graph. While play
+    from the initial state meets only Player-1 choices it is
+    deterministic, so that graph has one reachable cycle, nonnegative in
+    every dimension, and the candidate wins. Play that reaches a Player-2
     state with several edges is settled by a negative-cycle search of the
-    candidate's graph."""
+    candidate's graph. A loser is refuted by a negative cycle plus a
+    shortest stem to it from the initial state; every candidate that
+    agrees with it at the states the stem and cycle leave from (its
+    nogood cube) loses too, and the walk skips them all. Only candidates
+    without a winner are skipped, so the first winner is the one the
+    enumeration reaches first."""
     _require_valid(g)
+    return _memoryless_p1_energy(g)
+
+
+def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     states, options = _choice_space(g, 1)
     multi = [(s, g.out_edges(s)) for s, opts in zip(states, options) if len(opts) > 1]
-    position = {s: j for j, (s, _) in enumerate(multi)}
+    m = len(multi)
+    # Nodes of the hop graph: node j < m is the Player-1 state at position
+    # j of a choice vector; Player 2's choice states follow, then each
+    # loop of single edges, numbered when a hop first runs into it.
+    branching = [s for s in g.states_of(2) if len(g.out_edges(s)) > 1]
+    choice_states = [s for s, _ in multi] + branching
+    node = {s: j for j, s in enumerate(choice_states)}
     forced = {s: es[0] for s, es in g.outgoing.items() if len(es) == 1}
+    loops: list[WeightVector] = []
 
-    def hop(
-        at: str, weights: list[WeightVector]
-    ) -> tuple[Optional[int], WeightVector, Optional[list[WeightVector]]]:
-        # Follow single-edge states to the next state with a choice: its
-        # position (None for a Player-2 state or a loop of single edges),
-        # the summed weight, and the loop's edge weights if it closes one.
+    def hop(at: str, weights: list[WeightVector]) -> tuple[int, WeightVector]:
+        # Follow single-edge states to the next choice state or around a
+        # loop of single edges: the node reached and the summed weight.
         chain = {}
         while at in forced and at not in chain:
             chain[at] = len(weights)
             weights.append(forced[at].weight)
             at = forced[at].dst
-        loop = weights[chain[at] :] if at in chain else None
-        return position.get(at), tuple([sum(c) for c in zip(*weights)]), loop
+        if at not in node:
+            node[at] = len(choice_states) + len(loops)
+            loops.append(tuple([sum(c) for c in zip(*weights[chain[at] :])]))
+        return node[at], tuple([sum(c) for c in zip(*weights)])
 
-    # hops[j][o]: where option o at position j leads, its weight, and the
-    # edge weights of the loop of single edges it ends in, if any.
-    hops = [[hop(e.dst, [e.weight]) for e in es] for _, es in multi]
-    start = hop(g.init, [])
+    # hops[u][o]: the node option o of node u leads to, and its weight. A
+    # loop node has one hop, to itself, weighing one turn of the loop.
+    hops = [[hop(e.dst, [e.weight]) for e in g.out_edges(s)] for s in choice_states]
+    start = hop(g.init, [])[0]
+    first_loop = len(hops)
+    hops += [[(u, w)] for u, w in enumerate(loops, first_loop)]
 
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
-        # Deterministic play from the initial state, one hop per choice,
-        # until a choice repeats or a hop ends in a loop of single edges;
-        # `loop` then holds the weights of the cycle closed. `seen` maps
-        # each position played to its step, in play order.
-        (j, _, loop), seen = start, {}
-        while j is not None:
-            if j in seen:
-                loop = [hops[i][pick[i]][1] for i in list(seen)[seen[j] :]]
-                break
-            seen[j] = len(seen)
-            j, _, loop = hops[j][pick[j]]
-        if loop is not None:
-            if all(sum(c) >= 0 for c in zip(*loop)):
-                return None
-            return tuple([(i, pick[i]) for i in sorted(seen)])
+        # pick passed the relaxed test of the full vector (of the empty
+        # prefix if no position has a choice), so it wins if play stays
+        # deterministic: until a choice repeats or a loop of single
+        # edges closes.
+        u, seen = start, set()
+        while u < m and u not in seen:
+            seen.add(u)
+            u = hops[u][pick[u]][0]
+        if u < m or u >= first_loop:
+            return None
         # Player 2 branches: search the graph for a negative cycle.
         step = {s: opts[i] for (s, opts), i in zip(multi, pick)}
         sub = as_multigraph(g, MemorylessStrategy(1, {s: e.id for s, e in step.items()}))
@@ -488,9 +530,71 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         while e is not None:
             srcs.append(e.src)
             e = parent[e.src]
-        return tuple([(j, pick[j]) for j in sorted(position[s] for s in srcs if s in position)])
+        return tuple([(j, pick[j]) for j in sorted(node[s] for s in srcs if node.get(s, m) < m)])
 
-    pick = _first_uncovered([len(opts) for _, opts in multi], (), settle)
+    def relaxed(u: int, pick: list[int], d: int) -> Iterable[tuple[int, tuple[int, WeightVector]]]:
+        # (option, hop) pairs out of node u in the relaxed graph of pick[: d + 1].
+        return ((pick[u], hops[u][pick[u]]),) if u <= d else enumerate(hops[u])
+
+    def play(pick: list[int], d: int, prefer: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+        # The lasso of the play that takes the prefix's picks, then
+        # prefer's options, else option 0: the options it takes at
+        # Player-1 positions, and the weight of its cycle.
+        path, at, u = [], {}, start
+        while u not in at:
+            at[u] = len(path)
+            path.append((u, pick[u] if u <= d else prefer.get(u, 0)))
+            u = hops[u][path[-1][1]][0]
+        weight = [sum(c) for c in zip(*[hops[v][o][1] for v, o in path[at[u] :]])]
+        return {v: o for v, o in path if v < m}, weight
+
+    def witnesses(pick: list[int], d: int, old: list[dict[int, int]]) -> Optional[list[dict[int, int]]]:
+        # Per dimension, a lasso of the relaxed graph of pick[: d + 1]
+        # whose cycle is nonnegative there, as the options it takes at
+        # Player-1 positions; None if some dimension has none. old holds
+        # the witnesses of pick[:d], and only those pick[d] cuts are
+        # replaced: by the play that keeps to the cut witness where the
+        # prefix allows, else by a search of the relaxed graph.
+        new, plays, rest = list(old), {}, []
+        for i, w in enumerate(old):
+            if d >= 0 and w.get(d, pick[d]) == pick[d]:
+                continue
+            if id(w) not in plays:
+                plays[id(w)] = play(pick, d, w)
+            lasso, weight = plays[id(w)]
+            if weight[i] >= 0:
+                new[i] = lasso
+            else:
+                rest.append(i)
+        if not rest:
+            return new
+        parent = graphs.reachable(start, lambda u: [((u, o), v) for o, (v, _) in relaxed(u, pick, d)])
+        rank = {v: r for r, v in enumerate(parent)}
+        edges = [(u, o, v, w) for u in parent for o, (v, w) in relaxed(u, pick, d)]
+        scale = len(rank) + 1
+        for i in rest:
+            cycle = graphs._positive_cycle(len(rank), [(rank[u], rank[v], w[i] * scale + 1) for u, _, v, w in edges])
+            if cycle is None:
+                return None
+            lasso = [edges[x][:2] for x in cycle]
+            back = parent[min([u for u, _ in lasso], key=rank.__getitem__)]
+            while back is not None:
+                lasso.append(back)
+                back = parent[back[0]]
+            new[i] = {v: o for v, o in lasso if v < m}
+        return new
+
+    # wit[d + 1]: the witnesses of the prefix pick[: d + 1].
+    wit: list[Optional[list[dict[int, int]]]] = [None] * (m + 1)
+    wit[0] = witnesses([], -1, [{}] * g.dimension)
+    if wit[0] is None:
+        return MemorylessVerdict(False)
+
+    def prune(pick: list[int], d: int) -> bool:
+        wit[d + 1] = witnesses(pick, d, wit[d])
+        return wit[d + 1] is None
+
+    pick = _first_uncovered([len(opts) for _, opts in multi], (), settle, prune)
     if pick is None:
         return MemorylessVerdict(False)
     choice = dict(zip(states, (opts[0] for opts in options)))
@@ -507,7 +611,7 @@ def solve_memoryless_p1_meanpayoff(g: GameStructure, v: Sequence) -> MemorylessV
     >= 0 (equivalently, no negative cycle). Certificates refer to the
     shifted game."""
     _require_valid(g)
-    return solve_memoryless_p1_energy(threshold_shifted(g, v))
+    return _memoryless_p1_energy(threshold_shifted(g, v))
 
 
 def clamped_fixed_credit_oracle(g: GameStructure, v0: WeightVector, cap: int) -> bool:

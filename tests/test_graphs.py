@@ -318,6 +318,24 @@ class TestNegativeCycle:
                     srcs = [by_id[eid].src for eid in got]
                     assert len(srcs) == len(set(srcs))
 
+    def test_positive_cycle_on_negated_weights_agrees(self):
+        # Bellman-Ford for longest paths, on the negated weights, finds a
+        # cycle iff the walk table finds a negative one, and it returns
+        # a closed walk of positive weight with no repeated vertex.
+        rng = random.Random(19)
+        for _ in range(300):
+            g = rand_multigraph(rng, max_vertices=6, max_edges=9)
+            index = {v: i for i, v in enumerate(sorted(g.vertices, key=lambda v: v != "v0"))}
+            for d in range(1, g.dimension + 1):
+                edges = [(index[e.src], index[e.dst], -e.weight[d - 1]) for e in g.edges]
+                got = graphs._positive_cycle(len(index), edges)
+                assert (got is not None) == (negative_cycle_in_dimension(g, d, "v0") is not None)
+                if got is not None:
+                    walk = [edges[x] for x in reversed(got)]
+                    assert all(a[1] == b[0] for a, b in zip(walk, walk[1:] + walk[:1]))
+                    assert len({u for u, _, _ in walk}) == len(walk)
+                    assert sum(w for _, _, w in walk) > 0
+
 
 class TestBoundedOracle:
     def test_opposite_loops(self):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mwg import (
+    CnfFormula,
     DimensionError,
     Edge,
     GameStructure,
@@ -41,7 +42,7 @@ from mwg import (
     verify_p2_cover,
     verify_p2_spoiler,
 )
-from mwg import solvers
+from mwg import graphs, solvers
 from mwg.solvers import _first_uncovered
 from oracles import (
     bounded_circulation_oracle,
@@ -186,6 +187,36 @@ class TestUnknownCredit:
         broken = GameStructure(1, (State("a", 1),), "a", ())
         with pytest.raises(InvalidGameError):
             solve_unknown_credit(broken)
+
+
+class TestValidateOnce:
+    """Each library call validates the game it is given once; the
+    threshold wrappers solve the scaled and shifted game, which keeps
+    every invariant, without validating it again."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = solvers.validate_game
+        monkeypatch.setattr(solvers, "validate_game", lambda g: calls.append(g) or validate(g))
+        return calls
+
+    @pytest.mark.parametrize("solve", [
+        lambda fig1, fig2: solve_unknown_credit(fig1),
+        lambda fig1, fig2: solve_meanpayoff_threshold(fig2, (Fraction(1, 2), 0)),
+        lambda fig1, fig2: solve_memoryless_p1_energy(fig1),
+        lambda fig1, fig2: solve_memoryless_p1_meanpayoff(fig2, (2, Fraction(-1, 3))),
+        lambda fig1, fig2: clamped_fixed_credit_oracle(fig1, (1, 1), 3),
+    ], ids=["energy", "mp", "memoryless-energy", "memoryless-mp", "oracle"])
+    def test_one_validation_per_call(self, solve, fig1, fig2, validations):
+        solve(fig1, fig2)
+        assert len(validations) == 1
+
+    @pytest.mark.parametrize("solve", [solve_meanpayoff_threshold, solve_memoryless_p1_meanpayoff])
+    def test_wrappers_still_reject_an_invalid_game(self, solve):
+        broken = GameStructure(1, (State("a", 1),), "a", ())
+        with pytest.raises(InvalidGameError):
+            solve(broken, (0,))
 
 
 class TestCover:
@@ -469,6 +500,23 @@ def hop_game(init, states, edges):
     )
 
 
+def count_search(g, monkeypatch):
+    """solve_memoryless_p1_energy(g) with the vectors it settles and the
+    partial vectors it offers to the prune, counted by wrapping the hooks
+    its walk is given."""
+    settled, offered = [], []
+    walk = solvers._first_uncovered
+
+    def counting(sizes, cubes, settle, prune):
+        return walk(sizes, cubes, lambda p: settled.append(tuple(p)) or settle(p),
+                    lambda p, d: offered.append(tuple(p[: d + 1])) or prune(p, d))
+
+    monkeypatch.setattr(solvers, "_first_uncovered", counting)
+    v = solve_memoryless_p1_energy(g)
+    monkeypatch.undo()
+    return v, settled, offered
+
+
 def solve_without_graph_search(g, monkeypatch):
     """solve_memoryless_p1_energy(g), asserting that every candidate was
     settled by play alone, with no negative-cycle search."""
@@ -563,6 +611,86 @@ class TestMemorylessNogoods:
 
         assert _first_uncovered(sizes, (), settle) is None
         assert seen == list(itertools.product(*map(range, sizes)))
+
+    def test_pruned_prefixes_are_never_settled(self):
+        sizes = [2, 3, 2]
+        refuted = {(0, 1), (1,), (0, 2, 1)}
+        seen, offered = [], []
+
+        def settle(pick):
+            seen.append(tuple(pick))
+            return tuple(enumerate(pick))
+
+        def prune(pick, d):
+            offered.append(tuple(pick[: d + 1]))
+            return tuple(pick[: d + 1]) in refuted
+
+        assert _first_uncovered(sizes, (), settle, prune) is None
+        vectors = list(itertools.product(*map(range, sizes)))
+        assert seen == [v for v in vectors if not any(v[: len(r)] == r for r in refuted)]
+        # Every prefix is offered once, in order, unless a shorter one
+        # was pruned.
+        prefixes = sorted({v[:n] for v in vectors for n in (1, 2, 3)})
+        assert offered == [p for p in prefixes if not any(p[: len(r)] == r for r in refuted if len(r) < len(p))]
+
+    def test_prefixes_a_cube_contains_are_not_offered(self):
+        offered = []
+
+        def prune(pick, d):
+            offered.append(tuple(pick[: d + 1]))
+            return False
+
+        first = _first_uncovered([2, 2], [((0, 0), (1, 0)), ((0, 1),)], lambda pick: None, prune)
+        assert first == [0, 1]
+        assert offered == [(0,), (0, 1)]
+
+    # The relaxed graph of a prefix keeps every hop at the positions it
+    # leaves open, and the prune refutes losers only.
+
+    def test_open_positions_keep_every_option(self):
+        # Option 0 loses and option 1 wins: a relaxation that kept only
+        # option 0 at an open position would answer No at the root.
+        g = hop_game("a", [("a", 1)], [("a1", "a", "a", (-1,)), ("a2", "a", "a", (0,))])
+        assert solve_memoryless_p1_energy(g).strategy.choice == {"a": "a2"}
+
+    def test_root_refutation_tries_no_candidate(self, monkeypatch):
+        # Taking every item falls short of the target, so no dimension-1
+        # cycle is nonnegative even with every hop present.
+        inst = KnapsackInstance(((2, 1), (3, 1), (1, 1)), 3, 7)
+        v, settled, offered = count_search(encode_knapsack(inst), monkeypatch)
+        assert not v.answer and settled == [] and offered == []
+
+    def test_infeasible_knapsack_settles_far_fewer_than_all(self, monkeypatch):
+        # 13 items of profit w + 1 and weight w in 4..8, capacity 10: two
+        # items fit, and no two make the target 13.
+        items = tuple((w + 1, w) for w in (4, 5, 6, 7, 8, 4, 5, 6, 7, 8, 4, 5, 6))
+        v, settled, offered = count_search(encode_knapsack(KnapsackInstance(items, 10, 13)), monkeypatch)
+        assert not v.answer
+        assert len(settled) + len(offered) < 2**13 // 10
+
+    def test_unsat_formula_settles_far_fewer_than_all(self, monkeypatch):
+        rng = random.Random(3)
+        f = CnfFormula(12, tuple(tuple(rng.randint(1, 12) * rng.choice((1, -1)) for _ in range(3)) for _ in range(70)))
+        assert truth_table_satisfiable(f) is None
+        v, settled, offered = count_search(encode_3sat_memoryless(f), monkeypatch)
+        assert not v.answer
+        assert len(settled) + len(offered) < 2**12 // 10
+
+    def test_a_first_winner_needs_no_cycle_search(self, monkeypatch):
+        # Play from the Player-2 start taking option 0 everywhere is the
+        # first candidate's, and it wins, so every dimension keeps the
+        # witness that play gives at the root.
+        g = hop_game("p", [("p", 2), ("a", 1), ("b", 1)], [
+            ("pa", "p", "a", (0, 0)), ("pb", "p", "b", (0, 0)),
+            ("a1", "a", "a", (0, 1)), ("a2", "a", "a", (-1, 0)),
+            ("b1", "b", "p", (1, 0)), ("b2", "b", "b", (0, -1)),
+        ])
+        searches = []
+        search = graphs._positive_cycle
+        monkeypatch.setattr(graphs, "_positive_cycle", lambda *a: searches.append(a) or search(*a))
+        assert solve_memoryless_p1_energy(g).strategy.choice == {"a": "a1", "b": "b1"}
+        assert searches == []
+        assert assert_first_p1_winner(g)
 
 
 class TestClampedOracle:
