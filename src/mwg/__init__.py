@@ -25,7 +25,6 @@ from .graphs import (
     negative_cycle_in_dimension,
     nonnegative_circuit,
     reachable,
-    reachable_subgraph,
     validate_circuit,
     zero_circuit,
 )
@@ -43,7 +42,6 @@ from .model import (
     scale_weights,
     shift_weights,
     validate_game,
-    vector_sub,
 )
 from .reductions import (
     CnfFormula,

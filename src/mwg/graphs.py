@@ -152,17 +152,16 @@ def reachable(source: Vertex, succ: Callable[[Vertex], Iterable[tuple[object, Ve
     return parent
 
 
-def reachable_subgraph(g: MultiGraph, source: Vertex) -> MultiGraph:
-    """Restriction of g to vertices reachable from source."""
-    if source not in set(g.vertices):
+def _reached(g: MultiGraph, source: Vertex) -> dict:
+    """`reachable` over g's edges from source: every vertex reachable from
+    source, in breadth-first order, mapped to the edge that first reached
+    it."""
+    if source not in g.vertices:
         raise WalkError(f"unknown source vertex {source!r}")
     succ: dict[Vertex, list] = {}
     for e in g.edges:
         succ.setdefault(e.src, []).append((e, e.dst))
-    seen = reachable(source, lambda v: succ.get(v, ()))
-    vertices = tuple([v for v in g.vertices if v in seen])
-    edges = tuple([e for e in g.edges if e.src in seen])
-    return MultiGraph(g.dimension, vertices, edges, source)
+    return reachable(source, lambda v: succ.get(v, ()))
 
 
 # -- internal circuit search -------------------------------------------------
@@ -364,102 +363,48 @@ def zero_circuit(g: MultiGraph) -> Circuit | None:
 
 def nonnegative_circuit(g: MultiGraph, source: Vertex) -> Circuit | None:
     """A circuit reachable from source with weight >= 0 in every dimension."""
-    sub = reachable_subgraph(g, source)
-    recs = [(e.src, e.dst, e.weight, (e.id,)) for e in sorted(sub.edges, key=lambda e: repr(e.id))]
+    seen = _reached(g, source)
+    recs = [(e.src, e.dst, e.weight, (e.id,)) for e in sorted(g.edges, key=lambda e: repr(e.id)) if e.src in seen]
     walk = _search_circuit(recs, g.dimension, "nonnegative")
     return Circuit.from_walk(walk) if walk is not None else None
 
 
-# -- exact shortest-walk table (Bellman-Ford in array form) ------------------
-
-
-def _walk_table(n: int, recs: list[tuple[int, int, int, EdgeId]]):
-    """D[k][v] = min weight of a walk with exactly k edges ending at v,
-    every vertex a zero-weight origin (super-source).
-
-    recs are (src_index, dst_index, scalar_weight, edge_id). Also returns
-    parent pointers P[k][v] = (src_index, rec_index) realizing D[k][v].
-    None entries mean unreachable.
-    """
-    D: list[list[int | None]] = [[0] * n] + [[None] * n for _ in range(n)]
-    P: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        prev = D[k - 1]
-        cur = D[k]
-        par = P[k]
-        for ri, (u, v, w, _) in enumerate(recs):
-            du = prev[u]
-            if du is None:
-                continue
-            cand = du + w
-            if cur[v] is None or cand < cur[v]:
-                cur[v] = cand
-                par[v] = (u, ri)
-    return D, P
+# -- cycles of a given sign (Bellman-Ford) ----------------------------------
 
 
 def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[EdgeId, ...] | None:
     """A simple cycle, reachable from source, with negative total weight in
     dimension d (1-based), or None if every reachable cycle is nonnegative
-    there.
+    there. The cycle starts at its vertex that a breadth-first search
+    from source reaches first.
 
-    Works on the exact walk table: some vertex admits an n-edge walk
-    strictly better than every shorter walk iff a negative cycle exists,
-    and every cycle on such a walk is itself negative, so cutting at the
-    first repeated vertex yields a simple witness.
+    A cycle is negative in dimension d iff it is positive on the negated
+    weights, which is what _positive_cycle looks for.
     """
     if not 1 <= d <= g.dimension:
         raise DimensionError(f"dimension index {d} out of range 1..{g.dimension}")
-    sub = reachable_subgraph(g, source)
-    vertices = sorted(sub.vertices, key=repr)
-    vindex = {v: i for i, v in enumerate(vertices)}
-    recs = [
-        (vindex[e.src], vindex[e.dst], e.weight[d - 1], e.id)
-        for e in sorted(sub.edges, key=lambda e: repr(e.id))
-    ]
-    n = len(vertices)
-    if n == 0 or not recs:
+    rank = {v: i for i, v in enumerate(_reached(g, source))}
+    edges = [e for e in g.edges if e.src in rank]
+    cycle = _positive_cycle(len(rank), [(rank[e.src], rank[e.dst], -e.weight[d - 1]) for e in edges])
+    if cycle is None:
         return None
-    D, P = _walk_table(n, recs)
-    target = None
-    for vi in range(n):
-        if D[n][vi] is None:
-            continue
-        if all(D[k][vi] is None or D[k][vi] > D[n][vi] for k in range(n)):
-            target = vi
-            break
-    if target is None:
-        return None
-    # Reconstruct the n-edge optimum backwards. path[i] is the rec taken
-    # as step n - i, so the walk visits position k's vertex between
-    # path[n - k] and path[n - k - 1].
-    seen = {target: n}
-    path: list[int] = []
-    v = target
-    for k in range(n, 0, -1):
-        u, ri = P[k][v]
-        path.append(ri)
-        v = u
-        if v in seen:
-            q = seen[v]
-            # Steps k..q form a closed walk at v with distinct interior.
-            forward = list(reversed(path))
-            cycle = forward[: q - (k - 1)]
-            if sum(recs[r][2] for r in cycle) >= 0:
-                raise AssertionError("cycle cut from an improving walk is not negative")
-            return tuple([recs[r][3] for r in cycle])
-        seen[v] = k - 1
-    raise AssertionError("n-edge walk without repeated vertex")
+    walk = [edges[x] for x in reversed(cycle)]
+    cut = min(range(len(walk)), key=lambda i: rank[walk[i].src])
+    walk = walk[cut:] + walk[:cut]
+    if sum(e.weight[d - 1] for e in walk) >= 0:
+        raise AssertionError("Bellman-Ford returned a cycle that is not negative")
+    return tuple([e.id for e in walk])
 
 
 def _positive_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | None:
     """A cycle of positive total weight reachable from node 0, as indices
-    into edges, or None if there is none; edges are (src, dst, weight)
-    over the nodes 0..n-1. Bellman-Ford for longest paths: without such a
-    cycle n-1 rounds settle every distance, so a change in round n means
-    one exists. The node changed last then holds more than any simple
-    path gives it, so its parent edges never lead back to the source
-    unchanged: n of them end on a cycle of parent edges, a positive one."""
+    into edges in reverse walk order, or None if there is none; edges are
+    (src, dst, weight) over the nodes 0..n-1. Bellman-Ford for longest
+    paths: without such a cycle n-1 rounds settle every distance, so a
+    change in round n means one exists. The node changed last then holds
+    more than any simple path gives it, so its parent edges never lead
+    back to the source unchanged: n of them end on a cycle of parent
+    edges, a positive one."""
     dist: list[int | None] = [0] + [None] * (n - 1)
     parent = [0] * n
     for _ in range(n):

@@ -17,12 +17,8 @@ from typing import Union
 from .errors import DimensionError, StrategyError
 from .graphs import GraphEdge, MultiGraph, reachable
 
-# Weight vectors are plain tuples of ints; helpers below operate on them.
+# Weight vectors are plain tuples of ints.
 WeightVector = tuple[int, ...]
-
-
-def vector_sub(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple([x - y for x, y in zip(a, b)])
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ def shift_weights(g: GameStructure, v: WeightVector) -> GameStructure:
         raise DimensionError(f"shift vector has {len(v)} components, game dimension is {g.dimension}")
     if not all(isinstance(c, int) for c in v):
         raise DimensionError("shift vector components must be integers")
-    edges = tuple([Edge(e.id, e.src, e.dst, vector_sub(e.weight, v)) for e in g.edges])
+    edges = tuple([Edge(e.id, e.src, e.dst, tuple([x - y for x, y in zip(e.weight, v)])) for e in g.edges])
     return GameStructure(g.dimension, g.states, g.init, edges)
 
 

@@ -460,11 +460,13 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     from the initial state meets only Player-1 choices it is
     deterministic, so that graph has one reachable cycle, nonnegative in
     every dimension, and the candidate wins. Play that reaches a Player-2
-    state with several edges is settled by a negative-cycle search of the
-    candidate's graph. A loser is refuted by a negative cycle plus a
-    shortest stem to it from the initial state; every candidate that
-    agrees with it at the states the stem and cycle leave from (its
-    nogood cube) loses too, and the walk skips them all. Only candidates
+    state with several edges is settled by Bellman-Ford on the negated
+    weights of the candidate's hop graph, one dimension at a time. A
+    loser is refuted by a negative cycle plus a shortest stem to it from
+    the start; every candidate that agrees with it at the Player-1
+    positions the stem and cycle leave from (its nogood cube) contains
+    that lasso, as Player-2 nodes keep all their hops and loop nodes have
+    one, so it loses too, and the walk skips them all. Only candidates
     without a winner are skipped, so the first winner is the one the
     enumeration reaches first."""
     _require_valid(g)
@@ -515,26 +517,39 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
             u = hops[u][pick[u]][0]
         if u < m or u >= first_loop:
             return None
-        # Player 2 branches: search the graph for a negative cycle.
-        step = {s: opts[i] for (s, opts), i in zip(multi, pick)}
-        sub = as_multigraph(g, MemorylessStrategy(1, {s: e.id for s, e in step.items()}))
-        found = (negative_cycle_in_dimension(sub, d, g.init) for d in range(1, g.dimension + 1))
-        cycle = next((c for c in found if c is not None), None)
-        if cycle is None:
-            return None
-        # The stem is a shortest path to the cycle's state nearest the start.
-        out = {s: ((e, e.dst),) for s, e in step.items()}
-        parent = graphs.reachable(g.init, lambda v: out.get(v) or [(e, e.dst) for e in g.out_edges(v)])
-        srcs = [g.edge_by_id[eid].src for eid in cycle]
-        e = parent[min(srcs, key=list(parent).index)]
-        while e is not None:
-            srcs.append(e.src)
-            e = parent[e.src]
-        return tuple([(j, pick[j]) for j in sorted(node[s] for s in srcs if node.get(s, m) < m)])
+        # Player 2 branches: Bellman-Ford on the candidate's hop graph, the
+        # relaxed graph of the full vector, for a cycle negative in some
+        # dimension. Every candidate that agrees with the lasso's options
+        # contains it, so its options are a nogood cube.
+        graph = relaxed_graph(pick, m - 1)
+        _, rank, edges = graph
+        for i in range(g.dimension):
+            cycle = graphs._positive_cycle(len(rank), [(rank[u], rank[v], -w[i]) for u, _, v, w in edges])
+            if cycle is not None:
+                return tuple(sorted(lasso_of(cycle, *graph).items()))
+        return None
 
     def relaxed(u: int, pick: list[int], d: int) -> Iterable[tuple[int, tuple[int, WeightVector]]]:
         # (option, hop) pairs out of node u in the relaxed graph of pick[: d + 1].
         return ((pick[u], hops[u][pick[u]]),) if u <= d else enumerate(hops[u])
+
+    def relaxed_graph(pick: list[int], d: int) -> tuple[dict, dict[int, int], list]:
+        # The part of the relaxed graph of pick[: d + 1] reachable from the
+        # start: breadth-first parent hops as (node, option), each node's
+        # rank in visit order, and its hops as (node, option, next, weight).
+        parent = graphs.reachable(start, lambda u: [((u, o), v) for o, (v, _) in relaxed(u, pick, d)])
+        rank = {v: r for r, v in enumerate(parent)}
+        return parent, rank, [(u, o, v, w) for u in parent for o, (v, w) in relaxed(u, pick, d)]
+
+    def lasso_of(cycle: list[int], parent: dict, rank: dict[int, int], edges: list) -> dict[int, int]:
+        # The options a cycle of edges, entered by a shortest stem at its
+        # node nearest the start, takes at Player-1 positions.
+        lasso = [edges[x][:2] for x in cycle]
+        back = parent[min([u for u, _ in lasso], key=rank.__getitem__)]
+        while back is not None:
+            lasso.append(back)
+            back = parent[back[0]]
+        return {v: o for v, o in lasso if v < m}
 
     def play(pick: list[int], d: int, prefer: dict[int, int]) -> tuple[dict[int, int], list[int]]:
         # The lasso of the play that takes the prefix's picks, then
@@ -568,20 +583,14 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
                 rest.append(i)
         if not rest:
             return new
-        parent = graphs.reachable(start, lambda u: [((u, o), v) for o, (v, _) in relaxed(u, pick, d)])
-        rank = {v: r for r, v in enumerate(parent)}
-        edges = [(u, o, v, w) for u in parent for o, (v, w) in relaxed(u, pick, d)]
+        graph = relaxed_graph(pick, d)
+        _, rank, edges = graph
         scale = len(rank) + 1
         for i in rest:
             cycle = graphs._positive_cycle(len(rank), [(rank[u], rank[v], w[i] * scale + 1) for u, _, v, w in edges])
             if cycle is None:
                 return None
-            lasso = [edges[x][:2] for x in cycle]
-            back = parent[min([u for u, _ in lasso], key=rank.__getitem__)]
-            while back is not None:
-                lasso.append(back)
-                back = parent[back[0]]
-            new[i] = {v: o for v, o in lasso if v < m}
+            new[i] = lasso_of(cycle, *graph)
         return new
 
     # wit[d + 1]: the witnesses of the prefix pick[: d + 1].
@@ -599,9 +608,9 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         return MemorylessVerdict(False)
     choice = dict(zip(states, (opts[0] for opts in options)))
     choice.update((s, opts[i].id) for (s, opts), i in zip(multi, pick))
-    strategy = MemorylessStrategy(1, choice)
-    p = product_with_strategy(g, as_moore(g, strategy))
-    return MemorylessVerdict(True, strategy, sufficient_credit(g, len(p.vertices)))
+    # The credit's n: the states play can reach under the strategy.
+    n = len(graphs.reachable(g.init, lambda s: [(None, e.dst) for e in g.out_edges(s) if choice.get(s, e.id) == e.id]))
+    return MemorylessVerdict(True, MemorylessStrategy(1, choice), sufficient_credit(g, n))
 
 
 def solve_memoryless_p1_meanpayoff(g: GameStructure, v: Sequence) -> MemorylessVerdict:

@@ -294,6 +294,20 @@ def with_unit_drain_loops(g: MultiGraph) -> MultiGraph:
     return MultiGraph(g.dimension, g.vertices, g.edges + tuple(extra), g.source)
 
 
+def reachable_part(g: MultiGraph, source) -> MultiGraph:
+    """g restricted to the vertices reachable from source and the edges
+    leaving them, found by a plain depth-first search, sourced at source."""
+    seen, todo = {source}, [source]
+    while todo:
+        v = todo.pop()
+        for e in g.edges:
+            if e.src == v and e.dst not in seen:
+                seen.add(e.dst)
+                todo.append(e.dst)
+    vertices = tuple([v for v in g.vertices if v in seen])
+    return MultiGraph(g.dimension, vertices, tuple([e for e in g.edges if e.src in seen]), source)
+
+
 def simple_cycles(g: MultiGraph) -> Iterator[tuple[str, ...]]:
     """All simple cycles as edge id tuples (vertices distinct except the
     closure). Parallel edges yield distinct cycles. Exponential; keep the

@@ -14,7 +14,6 @@ from mwg import (
     encode_3sat_two_player,
     encode_knapsack,
     nonnegative_circuit,
-    reachable_subgraph,
     scale_weights,
     solve_memoryless_p1_energy,
     solve_unknown_credit,
@@ -36,6 +35,7 @@ from oracles import (
     rand_game,
     rand_knapsack,
     rand_multigraph,
+    reachable_part,
     truth_table_satisfiable,
     value_iteration_energy,
 )
@@ -123,7 +123,7 @@ def test_criterion_6_circuit_oracle_suite(capsys):
         if found is not None:
             validate_circuit(g, found)
             assert circuit_weight(g, found) == (0,) * g.dimension
-        sub = reachable_subgraph(g, "v0")
+        sub = reachable_part(g, "v0")
         witness = bounded_circulation_oracle(sub, 12, "nonnegative")
         found = nonnegative_circuit(g, "v0")
         if witness is not None:
@@ -146,7 +146,7 @@ def test_criterion_7_certificate_closure(capsys, tmp_path):
         if v.answer:
             assert verify_p2_cover(g, v.cover), g
             for lam2, circuit in v.witnesses:
-                sub = reachable_subgraph(fixed_graph(g, lam2), g.init)
+                sub = reachable_part(fixed_graph(g, lam2), g.init)
                 validate_circuit(sub, circuit)
                 assert all(x >= 0 for x in circuit_weight(sub, circuit))
         else:

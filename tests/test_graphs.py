@@ -18,7 +18,6 @@ from mwg import (
     nonnegative_circuit,
     product_with_strategy,
     reachable,
-    reachable_subgraph,
     validate_circuit,
     zero_circuit,
 )
@@ -30,6 +29,7 @@ from oracles import (
     has_negative_simple_cycle,
     rand_decoy,
     rand_multigraph,
+    reachable_part,
     simple_cycles,
     with_unit_drain_loops,
 )
@@ -144,9 +144,11 @@ class TestReachable:
             order = [dist[v] for v in parent]
             assert order == sorted(order)
 
-    def test_subgraph_rejects_unknown_source(self, fig2):
+    def test_searches_reject_an_unknown_source(self, fig2):
         with pytest.raises(WalkError):
-            reachable_subgraph(as_multigraph(fig2), "nope")
+            nonnegative_circuit(as_multigraph(fig2), "nope")
+        with pytest.raises(WalkError):
+            negative_cycle_in_dimension(as_multigraph(fig2), 1, "nope")
 
 
 class TestZeroCircuit:
@@ -306,7 +308,7 @@ class TestNegativeCycle:
         rng = random.Random(17)
         for _ in range(120):
             g = rand_multigraph(rng, max_vertices=6, max_edges=8)
-            sub = reachable_subgraph(g, "v0")
+            sub = reachable_part(g, "v0")
             for d in range(1, g.dimension + 1):
                 got = negative_cycle_in_dimension(g, d, "v0")
                 want = has_negative_simple_cycle(sub, d)
@@ -320,16 +322,18 @@ class TestNegativeCycle:
 
     def test_positive_cycle_on_negated_weights_agrees(self):
         # Bellman-Ford for longest paths, on the negated weights, finds a
-        # cycle iff the walk table finds a negative one, and it returns
-        # a closed walk of positive weight with no repeated vertex.
+        # cycle iff a negative simple cycle is reachable from node 0, and
+        # it returns a closed walk of positive weight with no repeated
+        # vertex.
         rng = random.Random(19)
         for _ in range(300):
             g = rand_multigraph(rng, max_vertices=6, max_edges=9)
             index = {v: i for i, v in enumerate(sorted(g.vertices, key=lambda v: v != "v0"))}
+            sub = reachable_part(g, "v0")
             for d in range(1, g.dimension + 1):
                 edges = [(index[e.src], index[e.dst], -e.weight[d - 1]) for e in g.edges]
                 got = graphs._positive_cycle(len(index), edges)
-                assert (got is not None) == (negative_cycle_in_dimension(g, d, "v0") is not None)
+                assert (got is not None) == has_negative_simple_cycle(sub, d)
                 if got is not None:
                     walk = [edges[x] for x in reversed(got)]
                     assert all(a[1] == b[0] for a, b in zip(walk, walk[1:] + walk[:1]))
@@ -370,7 +374,7 @@ def assert_one_sided_agreement(g: MultiGraph) -> None:
     if got_zero is not None:
         validate_circuit(g, got_zero)
         assert circuit_weight(g, got_zero) == (0,) * g.dimension
-    sub = reachable_subgraph(g, "v0")
+    sub = reachable_part(g, "v0")
     want_nn = bounded_circulation_oracle(sub, 12, "nonnegative")
     got_nn = nonnegative_circuit(g, "v0")
     if want_nn is not None:
@@ -410,7 +414,7 @@ class TestCircuitSearchAgainstOracle:
         rng = random.Random(29)
         for _ in range(60):
             g = rand_multigraph(rng)
-            sub = reachable_subgraph(g, "v0")
+            sub = reachable_part(g, "v0")
             gadget = with_unit_drain_loops(sub)
             z = zero_circuit(gadget)
             direct = nonnegative_circuit(g, "v0")

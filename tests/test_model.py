@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mwg import (
     DimensionError,
@@ -20,7 +18,6 @@ from mwg import (
     scale_weights,
     shift_weights,
     validate_game,
-    vector_sub,
 )
 from oracles import energy_level, games_equal, rand_game, random_lasso, random_walk
 
@@ -242,13 +239,3 @@ class TestStrategiesAndProduct:
         assert lam2 == MemorylessStrategy(2, {"q0": "to_q1"})
         assert lam2 != MemorylessStrategy(2, {"q0": "to_q2"})
 
-
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=5),
-    st.lists(st.integers(-50, 50), min_size=1, max_size=5),
-)
-@settings(max_examples=60)
-def test_vector_helpers_invert(a, b):
-    n = min(len(a), len(b))
-    va, vb = tuple(a[:n]), tuple(b[:n])
-    assert vector_sub(tuple([x + y for x, y in zip(va, vb)]), vb) == va

@@ -28,7 +28,6 @@ from mwg import (
     encode_3sat_two_player,
     encode_knapsack,
     product_with_strategy,
-    reachable_subgraph,
     scale_weights,
     search_finite_memory_strategy,
     solve_meanpayoff_threshold,
@@ -54,6 +53,7 @@ from oracles import (
     rand_cnf,
     rand_game,
     rand_knapsack,
+    reachable_part,
     truth_table_satisfiable,
     value_iteration_energy,
 )
@@ -84,7 +84,7 @@ def revalidate_witnesses(g, verdict):
     assert verdict.answer
     assert verify_p2_cover(g, verdict.cover)
     for lam2, circuit in verdict.witnesses:
-        sub = reachable_subgraph(fixed_graph(g, lam2), g.init)
+        sub = reachable_part(fixed_graph(g, lam2), g.init)
         validate_circuit(sub, circuit)
         w = circuit_weight(sub, circuit)
         assert all(x >= 0 for x in w)
@@ -517,15 +517,39 @@ def count_search(g, monkeypatch):
     return v, settled, offered
 
 
-def solve_without_graph_search(g, monkeypatch):
-    """solve_memoryless_p1_energy(g), asserting that every candidate was
-    settled by play alone, with no negative-cycle search."""
-    searches = []
-    search = solvers.negative_cycle_in_dimension
-    monkeypatch.setattr(solvers, "negative_cycle_in_dimension", lambda *a: searches.append(a) or search(*a))
+def count_cycle_searches(g, monkeypatch):
+    """solve_memoryless_p1_energy(g) with the number of Bellman-Ford runs
+    made while a full vector is settled and the number made outside that,
+    told apart by wrapping the settle hook its walk is given."""
+    inside, outside, settling = [], [], []
+    walk = solvers._first_uncovered
+    search = graphs._positive_cycle
+
+    def settle_counted(settle):
+        def wrapped(pick):
+            settling.append(pick)
+            try:
+                return settle(pick)
+            finally:
+                settling.pop()
+        return wrapped
+
+    def counted(*a):
+        (inside if settling else outside).append(a)
+        return search(*a)
+
+    monkeypatch.setattr(solvers, "_first_uncovered", lambda sizes, cubes, settle, prune: walk(sizes, cubes, settle_counted(settle), prune))
+    monkeypatch.setattr(graphs, "_positive_cycle", counted)
     v = solve_memoryless_p1_energy(g)
     monkeypatch.undo()
-    assert searches == []
+    return v, len(inside), len(outside)
+
+
+def solve_without_graph_search(g, monkeypatch):
+    """solve_memoryless_p1_energy(g), asserting that every candidate was
+    settled by play alone, with no Bellman-Ford run while settling."""
+    v, inside, _ = count_cycle_searches(g, monkeypatch)
+    assert inside == 0
     return v
 
 
@@ -599,6 +623,17 @@ class TestMemorylessNogoods:
             ("b1", "b", "a", (1, -1)), ("b2", "b", "b", (0, -1)),
         ])
         assert solve_without_graph_search(g, monkeypatch).strategy.choice == {"a": "a1", "b": "b1"}
+        assert assert_first_p1_winner(g)
+
+    def test_play_into_a_single_edge_loop(self, monkeypatch):
+        # a1 runs into the zero loop x -> y -> x, whose Player-2 state has
+        # one edge, so the first candidate's play ends on a loop node and
+        # wins with no graph search.
+        g = hop_game("a", [("a", 1), ("x", 1), ("y", 2)], [
+            ("a1", "a", "x", (0,)), ("a2", "a", "a", (-1,)),
+            ("xy", "x", "y", (1,)), ("yx", "y", "x", (-1,)),
+        ])
+        assert solve_without_graph_search(g, monkeypatch).strategy.choice == {"a": "a1", "x": "xy"}
         assert assert_first_p1_winner(g)
 
     def test_full_cubes_visit_every_vector_once_in_product_order(self):
@@ -679,17 +714,17 @@ class TestMemorylessNogoods:
     def test_a_first_winner_needs_no_cycle_search(self, monkeypatch):
         # Play from the Player-2 start taking option 0 everywhere is the
         # first candidate's, and it wins, so every dimension keeps the
-        # witness that play gives at the root.
+        # witness that play gives at the root and the prune searches
+        # nothing. Play branches at p, so settling the candidate runs
+        # Bellman-Ford once per dimension and finds no negative cycle.
         g = hop_game("p", [("p", 2), ("a", 1), ("b", 1)], [
             ("pa", "p", "a", (0, 0)), ("pb", "p", "b", (0, 0)),
             ("a1", "a", "a", (0, 1)), ("a2", "a", "a", (-1, 0)),
             ("b1", "b", "p", (1, 0)), ("b2", "b", "b", (0, -1)),
         ])
-        searches = []
-        search = graphs._positive_cycle
-        monkeypatch.setattr(graphs, "_positive_cycle", lambda *a: searches.append(a) or search(*a))
-        assert solve_memoryless_p1_energy(g).strategy.choice == {"a": "a1", "b": "b1"}
-        assert searches == []
+        v, inside, outside = count_cycle_searches(g, monkeypatch)
+        assert v.strategy.choice == {"a": "a1", "b": "b1"}
+        assert outside == 0 and inside == g.dimension
         assert assert_first_p1_winner(g)
 
 
@@ -760,7 +795,7 @@ class TestClampedOracle:
             assert won == clamped_fixpoint_reference(g, v0, cap), (g, v0, cap)
             answers[g.dimension, won] += 1
             branching_p2 += any(s.owner == 2 and len(g.out_edges(s.id)) > 1 for s in g.states)
-            seen = reachable_subgraph(as_multigraph(g), g.init).vertices
+            seen = reachable_part(as_multigraph(g), g.init).vertices
             unreachable += len(seen) < len(g.states)
         assert set(answers) == set(itertools.product(range(1, 5), (False, True)))
         yes = sum([n for (_, won), n in answers.items() if won])
@@ -872,7 +907,7 @@ class TestRandomCorpusInvariants:
         for _ in range(80):
             g = rand_game(rng, max_states=5, max_edges=7, owners=(1,))
             v = solve_unknown_credit(g)
-            sub = reachable_subgraph(as_multigraph(g), g.init)
+            sub = reachable_part(as_multigraph(g), g.init)
             witness = bounded_circulation_oracle(sub, 12, "nonnegative")
             assert v.answer == (witness is not None)
             if v.answer:
