@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import graphs, solvers
-from .errors import MwgError, ParseError
+from .errors import InvalidGameError, MwgError, ParseError
 from .formats import (
     parse_certificate,
     parse_dimacs,
@@ -54,15 +54,20 @@ def _read(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_game(path: str) -> GameStructure:
+def _parse_game(path: str) -> GameStructure:
+    """The game in path, parsed but not validated: for commands whose
+    solver validates it and raises InvalidGameError."""
     try:
-        g = parse_game(_read(path))
+        return parse_game(_read(path))
     except ParseError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _load_game(path: str) -> GameStructure:
+    g = _parse_game(path)
     violations = validate_game(g)
     if violations:
-        details = "; ".join(str(v) for v in violations)
-        raise _InputError(f"{path}: invalid game: {details}")
+        raise _InputError(f"{path}: {InvalidGameError(violations)}")
     return g
 
 
@@ -72,17 +77,20 @@ def _emit(verdict: bool, payload: str = "") -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_game(args.game)
-    if args.variant == "energy":
-        v = solvers.solve_unknown_credit(g)
-    elif args.variant == "mp":
-        v = solvers.solve_meanpayoff_threshold(g, args.threshold)
-    elif args.variant == "memoryless-energy":
-        mv = solvers.solve_memoryless_p1_energy(g)
-        return _emit(mv.answer, write_certificate(mv.strategy, mv.credit) if mv.answer else "")
-    else:
-        mv = solvers.solve_memoryless_p1_meanpayoff(g, args.threshold)
-        return _emit(mv.answer, write_certificate(mv.strategy, mv.credit) if mv.answer else "")
+    g = _parse_game(args.game)
+    try:
+        if args.variant == "energy":
+            v = solvers.solve_unknown_credit(g)
+        elif args.variant == "mp":
+            v = solvers.solve_meanpayoff_threshold(g, args.threshold)
+        elif args.variant == "memoryless-energy":
+            v = solvers.solve_memoryless_p1_energy(g)
+        else:
+            v = solvers.solve_memoryless_p1_meanpayoff(g, args.threshold)
+    except InvalidGameError as exc:
+        raise _InputError(f"{args.game}: {exc}") from exc
+    if args.variant.startswith("memoryless"):
+        return _emit(v.answer, write_certificate(v.strategy, v.credit) if v.answer else "")
     if v.answer:
         return _emit(True, f"credit {_vec(v.credit)}\n")
     return _emit(False, write_certificate(v.spoiler))
@@ -134,8 +142,12 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_game(args.game)
-    return _emit(solvers.clamped_fixed_credit_oracle(g, args.credit, args.cap))
+    g = _parse_game(args.game)
+    try:
+        answer = solvers.clamped_fixed_credit_oracle(g, args.credit, args.cap)
+    except InvalidGameError as exc:
+        raise _InputError(f"{args.game}: {exc}") from exc
+    return _emit(answer)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,10 @@ conversely any balanced integer vector whose support is weakly connected
 is realized by some closed walk (Euler). Connectivity is not linear, so
 the search runs per strongly connected component and continues on the
 support of a maximal feasible point; see _search_circuit for the
-completeness argument.
+completeness argument. In nonnegative mode a Bellman-Ford sign test on
+simple cycles settles most components before any LP is built: it
+refutes a component with a dimension in which no simple cycle is
+nonnegative, and accepts a simple cycle nonnegative in every dimension.
 """
 
 from __future__ import annotations
@@ -319,9 +322,14 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     """Witness walk (original edge ids) of a qualifying circuit, or None.
 
     Searched one strongly connected component at a time, depth first on
-    an explicit stack. Any qualifying circuit C confined to a component
-    induces a feasible multiplicity vector, so LP infeasibility is
-    conclusive. If feasible, the support of a maximal feasible point
+    an explicit stack. In nonnegative mode each component first gets the
+    sign test of _sign_test, which is exact: every circuit is a union of
+    simple cycles of its component, so a dimension without a nonnegative
+    simple cycle refutes the component, and a simple cycle nonnegative
+    in every dimension is itself a witness. Only a component that neither
+    settles reaches the LP. Any qualifying circuit C confined to a
+    component induces a feasible multiplicity vector, so LP infeasibility
+    is conclusive. If feasible, the support of a maximal feasible point
     contains the support of every feasible point, C's included; either
     that support spans the component (then it is strongly connected, and
     the scaled point itself is realizable as a circuit), or searching the
@@ -338,6 +346,12 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     stack = components(recs)
     while stack:
         comp = stack.pop()
+        if mode == "nonnegative":
+            cycle = _sign_test(comp, dimension)
+            if cycle is not None:
+                if not cycle:
+                    continue
+                return [eid for r in cycle for eid in r[3]]
         sys_, names = _circulation_system(comp, dimension, mode)
         out = lp_feasible(sys_)
         if out.status != "feasible":
@@ -351,6 +365,36 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
             counts = integer_scale(out.assignment)
         walk = _euler_walk(comp, [counts[x] for x in names])
         return [eid for i in walk for eid in comp[i][3]]
+    return None
+
+
+def _sign_test(comp: list[_Rec], dimension: int) -> list[_Rec] | None:
+    """Settle a strongly connected component without the LP where simple
+    cycles suffice: a simple cycle nonnegative in every dimension, in walk
+    order; [] if some dimension has no nonnegative simple cycle, so no
+    circuit of comp, a union of simple cycles, is nonnegative there; None
+    if neither is found.
+
+    Self-loops come first: one nonnegative in every dimension is a
+    witness, and a dimension where some loop is nonnegative cannot be
+    refuted, so only the other dimensions run Bellman-Ford. Every vertex
+    of comp is reachable from node 0, so its search sees every cycle."""
+    loops = [r for r in comp if r[0] == r[1]]
+    for r in loops:
+        if min(r[2]) >= 0:
+            return [r]
+    dims = [d for d in range(dimension) if all(r[2][d] < 0 for r in loops)]
+    if not dims:
+        return None
+    index = {v: i for i, v in enumerate(dict.fromkeys([v for r in comp for v in r[:2]]))}
+    ends = [(index[r[0]], index[r[1]]) for r in comp]
+    for d in dims:
+        cycle = _nonnegative_cycle(len(index), [(u, v, r[2][d]) for (u, v), r in zip(ends, comp)])
+        if cycle is None:
+            return []
+        walk = [comp[x] for x in reversed(cycle)]
+        if min([sum(c) for c in zip(*[r[2] for r in walk])]) >= 0:
+            return walk
     return None
 
 
@@ -394,6 +438,15 @@ def negative_cycle_in_dimension(g: MultiGraph, d: int, source: Vertex) -> tuple[
     if sum(e.weight[d - 1] for e in walk) >= 0:
         raise AssertionError("Bellman-Ford returned a cycle that is not negative")
     return tuple([e.id for e in walk])
+
+
+def _nonnegative_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | None:
+    """A simple cycle of nonnegative total weight reachable from node 0,
+    as _positive_cycle returns one, or None if there is none. A simple
+    cycle has at most n edges, so it is nonnegative iff it is positive
+    under the weights w·(n+1)+1."""
+    scale = n + 1
+    return _positive_cycle(n, [(u, v, w * scale + 1) for u, v, w in edges])
 
 
 def _positive_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | None:

@@ -585,9 +585,8 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
             return new
         graph = relaxed_graph(pick, d)
         _, rank, edges = graph
-        scale = len(rank) + 1
         for i in rest:
-            cycle = graphs._positive_cycle(len(rank), [(rank[u], rank[v], w[i] * scale + 1) for u, _, v, w in edges])
+            cycle = graphs._nonnegative_cycle(len(rank), [(rank[u], rank[v], w[i]) for u, _, v, w in edges])
             if cycle is None:
                 return None
             new[i] = lasso_of(cycle, *graph)

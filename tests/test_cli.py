@@ -2,7 +2,7 @@
 import subprocess
 import sys
 
-from mwg import write_certificate
+from mwg import cli, model, solvers, write_certificate
 from mwg.cli import main
 from conftest import FIXTURES, fixture_text
 from test_model import alternating_fig1_strategy
@@ -74,6 +74,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "energy", str(sink))
         assert code == 3
         assert "invalid game" in err
+
+    def test_invalid_game_message_is_the_same_for_every_command(self, capsys, tmp_path):
+        game = tmp_path / "bad.mwg"
+        game.write_text("mwg 1\ndimension 1\nstate a owner=1 init\nstate b owner=1\nedge e a b w=(0)\nedge e b a w=(0)\n")
+        want = f"error: {game}: invalid game: edge-id-unique (e): duplicate edge id\n"
+        for argv in (
+            ["solve", "energy", str(game)],
+            ["solve", "memoryless-mp", str(game), "--threshold", "0"],
+            ["oracle", "fixed-credit", str(game), "--credit", "0", "--cap", "1"],
+            ["check", "p2", str(game), str(game)],
+            ["circuit", "zero", str(game)],
+        ):
+            assert run(capsys, *argv) == (3, "", want)
 
     def test_missing_threshold_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "mp", FIG2)
@@ -257,6 +270,28 @@ class TestOracle:
     def test_missing_cap_usage_error(self, capsys):
         code, _, _ = run(capsys, "oracle", "fixed-credit", FIG1, "--credit", "2,1")
         assert code == 2
+
+
+def test_solve_and_oracle_validate_the_game_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return model.validate_game(g)
+
+    monkeypatch.setattr(cli, "validate_game", counted)
+    monkeypatch.setattr(solvers, "validate_game", counted)
+    for argv in (
+        ["solve", "energy", FIG1],
+        ["solve", "mp", FIG2, "--threshold", "1,1"],
+        ["solve", "memoryless-energy", KNAP2_GAME],
+        ["solve", "memoryless-mp", FIG2, "--threshold", "0,0"],
+        ["oracle", "fixed-credit", FIG1, "--credit", "2,1", "--cap", "4"],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, argv
 
 
 def test_verdict_lines_are_exact(capsys):

@@ -14,10 +14,12 @@ from mwg import (
     WalkError,
     as_multigraph,
     circuit_weight,
+    encode_3sat_two_player,
     negative_cycle_in_dimension,
     nonnegative_circuit,
     product_with_strategy,
     reachable,
+    solve_unknown_credit,
     validate_circuit,
     zero_circuit,
 )
@@ -25,9 +27,11 @@ from mwg import graphs
 from oracles import (
     _connected,
     bounded_circulation_oracle,
+    enumerate_p2_memoryless,
     eulerian_circuit_from_circulation,
     has_negative_simple_cycle,
     rand_decoy,
+    rand_game,
     rand_multigraph,
     reachable_part,
     simple_cycles,
@@ -425,6 +429,145 @@ class TestCircuitSearchAgainstOracle:
                 stripped = Circuit.from_walk(real)
                 validate_circuit(sub, stripped)
                 assert all(x >= 0 for x in circuit_weight(sub, stripped))
+
+
+def components(g: MultiGraph) -> list[list]:
+    """The strongly connected components the circuit search starts from,
+    as lists of its internal edge records."""
+    recs = graphs._simplify([(e.src, e.dst, e.weight, (e.id,)) for e in sorted(g.edges, key=lambda e: repr(e.id))])
+    return [[recs[i] for i in comp] for comp in graphs._rec_sccs(recs)]
+
+
+def sign_test_corpus(seed: int, graphs_each: int) -> list[MultiGraph]:
+    """Random multigraphs, decoys, and the fixed graphs of random games."""
+    rng = random.Random(seed)
+    out = [rand_multigraph(rng, max_vertices=5, max_edges=9) for _ in range(graphs_each)]
+    out += [rand_decoy(rng) for _ in range(graphs_each)]
+    for _ in range(graphs_each // 10):
+        g = rand_game(rng, max_states=5, max_edges=9)
+        out += [reachable_part(as_multigraph(g, s), g.init) for s in enumerate_p2_memoryless(g)]
+    return out
+
+
+def assert_sign_test_agrees_with_lp(corpus: list[MultiGraph]) -> None:
+    """A refuted component has an infeasible circulation LP; a witness is a
+    closed walk of the graph, nonnegative in every dimension. Every
+    outcome occurs."""
+    seen = {"refuted": 0, "witness": 0, "undecided": 0}
+    for g in corpus:
+        for comp in components(g):
+            cycle = graphs._sign_test(comp, g.dimension)
+            status = graphs.lp_feasible(graphs._circulation_system(comp, g.dimension, "nonnegative")[0]).status
+            if cycle is None:
+                seen["undecided"] += 1
+            elif not cycle:
+                seen["refuted"] += 1
+                assert status == "infeasible"
+            else:
+                seen["witness"] += 1
+                c = Circuit.from_walk([eid for r in cycle for eid in r[3]])
+                validate_circuit(g, c)
+                assert min(circuit_weight(g, c)) >= 0
+                assert status == "feasible"
+    assert min(seen.values()) > 0, seen
+
+
+class TestSignTest:
+    def test_agrees_with_the_lp(self):
+        assert_sign_test_agrees_with_lp(sign_test_corpus(31, 150))
+
+    @pytest.mark.slow
+    def test_agrees_with_the_lp_large(self):
+        assert_sign_test_agrees_with_lp(sign_test_corpus(37, 8000))
+
+    def test_nonnegative_loop_is_the_witness(self, fig2, monkeypatch):
+        calls = count_calls(monkeypatch, "lp_feasible")
+        assert nonnegative_circuit(as_multigraph(fig2), "qa").edges == ("loopa",)
+        assert calls == []
+
+    def test_zero_weight_cycle_is_a_witness(self):
+        # The loops are negative in both dimensions and every vertex has two
+        # out-edges, so Bellman-Ford runs on the uncontracted pair. The one
+        # other cycle, ab then ba, weighs 0 in both dimensions; the +1 of
+        # the scaled weights is what makes it positive.
+        g = MultiGraph(
+            2,
+            ("a", "b"),
+            (
+                GraphEdge("ab", "a", "b", (2, -1)),
+                GraphEdge("ba", "b", "a", (-2, 1)),
+                GraphEdge("aa", "a", "a", (-1, -1)),
+                GraphEdge("bb", "b", "b", (-1, -1)),
+            ),
+            "a",
+        )
+        (comp,) = components(g)
+        assert sorted(eid for r in graphs._sign_test(comp, 2) for eid in r[3]) == ["ab", "ba"]
+        assert nonnegative_circuit(g, "a").multiplicity == {"ab": 1, "ba": 1}
+
+    def test_cycles_nonnegative_in_one_dimension_each_go_to_the_lp(self, monkeypatch):
+        # The cycle through hi is nonnegative only in dimension 1, the one
+        # through lo only in dimension 2: neither is a witness, and only
+        # the LP finds their sum.
+        g = MultiGraph(
+            2,
+            ("a", "b"),
+            (
+                GraphEdge("hi", "a", "b", (1, -1)),
+                GraphEdge("lo", "a", "b", (-1, 1)),
+                GraphEdge("back", "b", "a", (0, 0)),
+                GraphEdge("aa", "a", "a", (-1, -1)),
+                GraphEdge("bb", "b", "b", (-1, -1)),
+            ),
+            "a",
+        )
+        (comp,) = components(g)
+        assert graphs._sign_test(comp, 2) is None
+        calls = count_calls(monkeypatch, "lp_feasible")
+        c = nonnegative_circuit(g, "a")
+        validate_circuit(g, c)
+        assert min(circuit_weight(g, c)) >= 0 and {"hi", "lo"} <= set(c.multiplicity)
+        assert len(calls) == 1
+
+    def test_refutes_without_an_lp(self, monkeypatch):
+        # Every cycle, the loop included, is negative in dimension 1.
+        g = MultiGraph(
+            2,
+            ("a", "b", "c"),
+            (
+                GraphEdge("ab", "a", "b", (3, 5)),
+                GraphEdge("bc", "b", "c", (-2, 5)),
+                GraphEdge("ca", "c", "a", (-2, 5)),
+                GraphEdge("ba", "b", "a", (-4, 5)),
+                GraphEdge("cc", "c", "c", (-1, 5)),
+            ),
+            "a",
+        )
+        calls = count_calls(monkeypatch, "lp_feasible")
+        assert nonnegative_circuit(g, "a") is None
+        assert calls == []
+
+    def test_loop_components_run_no_bellman_ford(self, monkeypatch, unsat8):
+        # The 3SAT encoding's fixed graphs end in one-vertex components of
+        # loops that leave every dimension some nonnegative loop and none
+        # nonnegative in all: only the LP can settle them.
+        calls = count_calls(monkeypatch, "_positive_cycle")
+        lps = count_calls(monkeypatch, "lp_feasible")
+        assert solve_unknown_credit(encode_3sat_two_player(unsat8)).answer
+        assert calls == [] and len(lps) > 0
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to graphs.<name>."""
+    real = getattr(graphs, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, name, counted)
+    return calls
 
 
 def test_with_unit_drain_loops_shape(fig2):
