@@ -32,7 +32,7 @@ from .graphs import (
     Circuit,
     MultiGraph,
     circuit_weight,
-    negative_cycle_in_dimension,
+    negative_cycle_in_dimension,  # noqa: F401 -- still looked up on this module
     validate_circuit,
 )
 from .model import (
@@ -124,7 +124,7 @@ class MemorylessVerdict:
     the search found every candidate to agree with a losing lasso's
     choices (a nogood cube) or to extend a refuted prefix, one whose
     relaxed graph has no reachable cycle that is nonnegative in some
-    dimension."""
+    dimension or in the sum of all dimensions."""
 
     answer: bool
     strategy: Optional[MemorylessStrategy] = None
@@ -368,8 +368,12 @@ def verify_p1_certificate(
     # product_with_strategy checks the certificate, a memoryless one as a
     # Moore machine, so both kinds are rejected with the same messages.
     p = product_with_strategy(g, as_moore(g, s) if isinstance(s, MemorylessStrategy) else s)
-    for d in range(1, g.dimension + 1):
-        if negative_cycle_in_dimension(p, d, p.source) is not None:
+    # The product lists its vertices breadth first from the source: all
+    # are reachable, and the source is node 0.
+    rank = {v: i for i, v in enumerate(p.vertices)}
+    edges = [(rank[e.src], rank[e.dst], e.weight) for e in p.edges]
+    for d in range(g.dimension):
+        if graphs._positive_cycle(len(rank), [(u, v, -w[d]) for u, v, w in edges]) is not None:
             return CertificateCheck(False)
     return CertificateCheck(True, sufficient_credit(g, len(p.vertices)))
 
@@ -442,19 +446,23 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     Partial candidates are refuted on the way. The relaxed graph of a
     prefix keeps only the picked hop at the positions it assigns and
     every hop elsewhere, so it contains the graph of every completion; a
-    winner's reachable cycles are all nonnegative, and it has one. So if,
-    in some dimension, no cycle reachable in the relaxed graph is
-    nonnegative, no completion wins and the walk skips them all; at the
-    empty prefix that answers No before any candidate is tried. Each
-    dimension keeps a witness lasso, a nonnegative cycle and the stem to
-    it, per depth, and is searched again only when a pick cuts its
-    witness, as watched literals are. The search first plays the
-    prefix's picks, then the cut witness's options, then option 0 (at
-    Player-2 states too, whose hops are all kept); at the empty prefix
-    that is the first candidate's play, so a first candidate that wins
-    costs no further search. Else Bellman-Ford looks for a longest path
-    with the exact weights w*(n+1)+1, n the reachable nodes: a simple
-    cycle is positive there iff its weight w is nonnegative.
+    winner's reachable cycles are all nonnegative, and it has one. So
+    if, in some dimension or in the sum of all dimensions, no cycle
+    reachable in the relaxed graph is nonnegative, no completion wins
+    and the walk skips them all; at the empty prefix that answers No
+    before any candidate is tried. The sum is the Lagrangian bound with
+    unit multipliers; on a knapsack chain it is profit minus weight
+    taken, plus every positive open profit minus weight, plus bound
+    minus target. Each of these directions keeps a witness lasso, a
+    nonnegative cycle and the stem to it, per depth, and is searched
+    again only when a pick cuts its witness, as watched literals are.
+    The search first plays the prefix's picks, then the cut witness's
+    options, then option 0 (at Player-2 states too, whose hops are all
+    kept); at the empty prefix that is the first candidate's play, so a
+    first candidate that wins costs no further search. Else Bellman-Ford
+    looks for a longest path with the exact weights w*(n+1)+1, n the
+    reachable nodes: a simple cycle is positive there iff its weight w
+    is nonnegative.
 
     A full candidate that passes is its own relaxed graph. While play
     from the initial state meets only Player-1 choices it is
@@ -485,6 +493,10 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     node = {s: j for j, s in enumerate(choice_states)}
     forced = {s: es[0] for s, es in g.outgoing.items() if len(es) == 1}
     loops: list[WeightVector] = []
+    # With k >= 2 a hop weight carries one more direction, the sum of its
+    # k weights; a winner's cycles are nonnegative there too.
+    k = g.dimension
+    directed = (lambda w: w + (sum(w),)) if k > 1 else (lambda w: w)
 
     def hop(at: str, weights: list[WeightVector]) -> tuple[int, WeightVector]:
         # Follow single-edge states to the next choice state or around a
@@ -492,7 +504,7 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         chain = {}
         while at in forced and at not in chain:
             chain[at] = len(weights)
-            weights.append(forced[at].weight)
+            weights.append(directed(forced[at].weight))
             at = forced[at].dst
         if at not in node:
             node[at] = len(choice_states) + len(loops)
@@ -501,7 +513,7 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
 
     # hops[u][o]: the node option o of node u leads to, and its weight. A
     # loop node has one hop, to itself, weighing one turn of the loop.
-    hops = [[hop(e.dst, [e.weight]) for e in g.out_edges(s)] for s in choice_states]
+    hops = [[hop(e.dst, [directed(e.weight)]) for e in g.out_edges(s)] for s in choice_states]
     start = hop(g.init, [])[0]
     first_loop = len(hops)
     hops += [[(u, w)] for u, w in enumerate(loops, first_loop)]
@@ -523,7 +535,7 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         # contains it, so its options are a nogood cube.
         graph = relaxed_graph(pick, m - 1)
         _, rank, edges = graph
-        for i in range(g.dimension):
+        for i in range(k):
             cycle = graphs._positive_cycle(len(rank), [(rank[u], rank[v], -w[i]) for u, _, v, w in edges])
             if cycle is not None:
                 return tuple(sorted(lasso_of(cycle, *graph).items()))
@@ -564,9 +576,9 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         return {v: o for v, o in path if v < m}, weight
 
     def witnesses(pick: list[int], d: int, old: list[dict[int, int]]) -> Optional[list[dict[int, int]]]:
-        # Per dimension, a lasso of the relaxed graph of pick[: d + 1]
+        # Per direction, a lasso of the relaxed graph of pick[: d + 1]
         # whose cycle is nonnegative there, as the options it takes at
-        # Player-1 positions; None if some dimension has none. old holds
+        # Player-1 positions; None if some direction has none. old holds
         # the witnesses of pick[:d], and only those pick[d] cuts are
         # replaced: by the play that keeps to the cut witness where the
         # prefix allows, else by a search of the relaxed graph.
@@ -594,7 +606,7 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
 
     # wit[d + 1]: the witnesses of the prefix pick[: d + 1].
     wit: list[Optional[list[dict[int, int]]]] = [None] * (m + 1)
-    wit[0] = witnesses([], -1, [{}] * g.dimension)
+    wit[0] = witnesses([], -1, [{}] * (k + (k > 1)))
     if wit[0] is None:
         return MemorylessVerdict(False)
 

@@ -15,6 +15,7 @@ from mwg import (
     KnapsackInstance,
     Lasso,
     MemorylessStrategy,
+    MooreStrategy,
     State,
     StrategyError,
     Verdict,
@@ -27,6 +28,7 @@ from mwg import (
     encode_3sat_memoryless,
     encode_3sat_two_player,
     encode_knapsack,
+    negative_cycle_in_dimension,
     product_with_strategy,
     scale_weights,
     search_finite_memory_strategy,
@@ -382,6 +384,30 @@ class TestVerifyP1:
         with pytest.raises(StrategyError):
             verify_p1_certificate(fig1, as_moore(fig1, MemorylessStrategy(1, {"q1": "loop"})))
 
+    def test_matches_the_search_per_dimension(self):
+        # The check ranks the product once for all dimensions; running
+        # negative_cycle_in_dimension on it per dimension must agree.
+        rng = random.Random(59)
+        accepted = collections.Counter()
+        for _ in range(300):
+            g = rand_game(rng, max_states=6, max_edges=12)
+            p1 = list(g.states_of(1))
+            memory = ("m0", "m1")
+            moore = MooreStrategy(
+                1, memory, "m0",
+                {(m, s.id): rng.choice(memory) for m in memory for s in g.states},
+                {(m, s): rng.choice(g.out_edges(s)).id for m in memory for s in p1},
+            )
+            memoryless = MemorylessStrategy(1, {s: rng.choice(g.out_edges(s)).id for s in p1})
+            for strategy in (memoryless, moore):
+                p = product_with_strategy(g, strategy)
+                wins = all(negative_cycle_in_dimension(p, d, p.source) is None for d in range(1, g.dimension + 1))
+                check = verify_p1_certificate(g, strategy)
+                assert check.accepted == wins
+                assert check.credit == (sufficient_credit(g, len(p.vertices)) if wins else None)
+                accepted[type(strategy), wins] += 1
+        assert len(accepted) == 4 and min(accepted.values()) > 30
+
 
 class TestVerifyP2:
     def test_fig1_left_rejected(self, fig1):
@@ -455,9 +481,11 @@ def assert_first_p1_winner(g):
     return v.answer
 
 
-def p1_corpus(seed, games, knapsacks, items, formulas):
+def p1_corpus(seed, games, knapsacks, items, formulas, shifted=0):
     """rand_game games (both owners), knapsack chains of items[0] to
-    items[1] items and 3SAT chains."""
+    items[1] items, 3SAT chains, and rand_game games with k in {2, 3}
+    shifted by a random mean-payoff threshold, whose dimensions differ
+    in scale, so that their sum weighs them unevenly."""
     rng = random.Random(seed)
     out = [rand_game(rng, max_states=7, max_edges=14) for _ in range(games)]
     for _ in range(knapsacks):
@@ -466,6 +494,12 @@ def p1_corpus(seed, games, knapsacks, items, formulas):
             inst = rand_knapsack(rng, max_items=items[1])
         out.append(encode_knapsack(inst))
     out += [encode_3sat_memoryless(rand_cnf(rng, max_vars=4, max_clauses=16)) for _ in range(formulas)]
+    for _ in range(shifted):
+        g = rand_game(rng, max_states=7, max_edges=14)
+        while g.dimension < 2:
+            g = rand_game(rng, max_states=7, max_edges=14)
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(g.dimension)]
+        out.append(threshold_shifted(g, v))
     return out
 
 
@@ -564,15 +598,15 @@ class TestMemorylessNogoods:
 
     def test_matches_the_flat_enumeration(self):
         # rand_game games (both owners, so Player 2 branches in many),
-        # knapsack chains and 3SAT chains, where every nogood is a full
-        # assignment.
-        games = p1_corpus(71, games=1000, knapsacks=200, items=(1, 7), formulas=100)
+        # knapsack chains, 3SAT chains, where every nogood is a full
+        # assignment, and threshold-shifted games with k >= 2.
+        games = p1_corpus(71, games=1000, knapsacks=200, items=(1, 7), formulas=100, shifted=300)
         answers = [assert_first_p1_winner(g) for g in games]
         assert 200 < sum(answers) < len(answers) - 200
 
     @pytest.mark.slow
     def test_matches_the_flat_enumeration_large(self):
-        games = p1_corpus(73, games=10000, knapsacks=24, items=(10, 12), formulas=200)
+        games = p1_corpus(73, games=10000, knapsacks=24, items=(10, 12), formulas=200, shifted=2000)
         answers = [assert_first_p1_winner(g) for g in games]
         assert 2000 < sum(answers) < len(answers) - 2000
 
@@ -694,6 +728,25 @@ class TestMemorylessNogoods:
         inst = KnapsackInstance(((2, 1), (3, 1), (1, 1)), 3, 7)
         v, settled, offered = count_search(encode_knapsack(inst), monkeypatch)
         assert not v.answer and settled == [] and offered == []
+
+    def test_sum_of_dimensions_refutes_at_the_root(self, monkeypatch):
+        # Each dimension alone keeps a nonnegative cycle at the root:
+        # taking every item makes the target, taking none keeps the
+        # bound. But profit equals weight for every item, so every cycle
+        # sums to bound - target = -1 over both dimensions.
+        inst = KnapsackInstance(((3, 3), (4, 4), (5, 5)), 6, 7)
+        assert sum(p for p, _ in inst.items) >= inst.target
+        v, settled, offered = count_search(encode_knapsack(inst), monkeypatch)
+        assert not v.answer and settled == [] and offered == []
+
+    def test_one_dimension_adds_no_direction(self, monkeypatch):
+        # Option 0 loses, so the root searches once for a2 and the prefix
+        # that picks a1 is refuted by one more search. A sum direction,
+        # which k = 1 makes dimension 1 itself, would search the root twice.
+        g = hop_game("a", [("a", 1)], [("a1", "a", "a", (-1,)), ("a2", "a", "a", (0,))])
+        v, inside, outside = count_cycle_searches(g, monkeypatch)
+        assert v.strategy.choice == {"a": "a2"}
+        assert inside == 0 and outside == 2
 
     def test_infeasible_knapsack_settles_far_fewer_than_all(self, monkeypatch):
         # 13 items of profit w + 1 and weight w in 4..8, capacity 10: two
