@@ -103,12 +103,16 @@ def _vec(v) -> str:
 def _cmd_check(args) -> int:
     g = _load_game(args.game)
     try:
-        strategy, _ = parse_certificate(_read(args.certificate), 1 if args.who == "p1" else 2)
+        strategy, declared = parse_certificate(_read(args.certificate), 1 if args.who == "p1" else 2)
     except ParseError as exc:
         raise _InputError(f"{args.certificate}: {exc}") from exc
     if args.who == "p1":
+        if declared is not None and len(declared) != g.dimension:
+            raise _InputError(f"{args.certificate}: credit has {len(declared)} components, expected {g.dimension}")
         result = solvers.verify_p1_certificate(g, strategy)
-        return _emit(result.accepted, f"credit {_vec(result.credit)}\n" if result.accepted else "")
+        # A declared credit must dominate the least one the strategy needs.
+        accepted = result.accepted and (declared is None or all([a >= b for a, b in zip(declared, result.credit)]))
+        return _emit(accepted, f"credit {_vec(result.credit)}\n" if accepted else "")
     if not isinstance(strategy, MemorylessStrategy):
         raise _InputError(f"{args.certificate}: Player-2 certificates must be memoryless")
     return _emit(solvers.verify_p2_spoiler(g, strategy))

@@ -303,7 +303,8 @@ def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
     return walk
 
 
-def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
+def _circulation_system(recs: list[_Rec], dimension: int, mode: str, spanning: bool = False):
+    # spanning adds x_e >= 1 for every edge, which _presolve absorbs as bounds.
     vertices = sorted({r[0] for r in recs} | {r[1] for r in recs}, key=repr)
     names = [f"x{i}" for i in range(len(recs))]
     balance = {v: [0] * len(recs) for v in vertices}
@@ -315,6 +316,8 @@ def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     for d in range(dimension):
         rows.append(([r[2][d] for r in recs], relation, 0))
     rows.append(([1] * len(recs), ">=", 1))
+    if spanning:
+        rows += [([int(i == j) for j in range(len(recs))], ">=", 1) for i in range(len(recs))]
     return system(names, rows), names
 
 
@@ -331,10 +334,12 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     component induces a feasible multiplicity vector, so LP infeasibility
     is conclusive. If feasible, the support of a maximal feasible point
     contains the support of every feasible point, C's included; either
-    that support spans the component (then it is strongly connected, and
-    the scaled point itself is realizable as a circuit), or searching the
-    strictly smaller support subgraph in its place keeps C intact.
-    Termination: the edge set shrinks each time.
+    that support spans the component (then it is strongly connected, so
+    a solution with every x_e >= 1 is realizable as a circuit; a vertex
+    of those is walked, as the midpoint's denominators can ask for a walk
+    of 10^12 edges), or searching the strictly smaller support subgraph
+    in its place keeps C intact. Termination: the edge set shrinks each
+    time.
     """
 
     def components(recs: list[_Rec]) -> list[list[_Rec]]:
@@ -362,6 +367,9 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
             if len(support) < len(comp):
                 stack += components([r for r, x in zip(comp, names) if x in support])
                 continue
+            out = lp_feasible(_circulation_system(comp, dimension, mode, spanning=True)[0])
+            if out.status != "feasible":
+                raise AssertionError("no circulation uses every edge of a spanning support")
             counts = integer_scale(out.assignment)
         walk = _euler_walk(comp, [counts[x] for x in names])
         return [eid for i in walk for eid in comp[i][3]]
@@ -449,7 +457,9 @@ def _nonnegative_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] |
     return _positive_cycle(n, [(u, v, w * scale + 1) for u, v, w in edges])
 
 
-def _positive_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | None:
+def _positive_cycle(
+    n: int, edges: list[tuple[int, int, int]], distances: list | None = None
+) -> list[int] | None:
     """A cycle of positive total weight reachable from node 0, as indices
     into edges in reverse walk order, or None if there is none; edges are
     (src, dst, weight) over the nodes 0..n-1. Bellman-Ford for longest
@@ -457,7 +467,9 @@ def _positive_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | No
     change in round n means one exists. The node changed last then holds
     more than any simple path gives it, so its parent edges never lead
     back to the source unchanged: n of them end on a cycle of parent
-    edges, a positive one."""
+    edges, a positive one. When there is none and a `distances` list is
+    given, it is left holding the weight of a longest path to each node
+    (None where unreachable)."""
     dist: list[int | None] = [0] + [None] * (n - 1)
     parent = [0] * n
     for _ in range(n):
@@ -469,6 +481,8 @@ def _positive_cycle(n: int, edges: list[tuple[int, int, int]]) -> list[int] | No
                 parent[v] = x
                 last = v
         if last is None:
+            if distances is not None:
+                distances[:] = dist
             return None
     for _ in range(n):
         last = edges[parent[last]][0]

@@ -224,94 +224,127 @@ def _first_uncovered(
         pick[d] += 1
 
 
+def _join(a: tuple, b: tuple) -> tuple:
+    """Hop a followed by hop b, as records (src, dst, weight, edge ids)."""
+    return (a[0], b[1], tuple([x + y for x, y in zip(a[2], b[2])]), a[3] + b[3])
+
+
+def _follow(h: tuple, step: Mapping[str, tuple], loops: dict[str, list[tuple]]) -> tuple:
+    """Extend the hop h, a record (src, dst, summed weight, edge ids) like
+    _simplify's, by step's one hop out of each state it reaches, up to a
+    state without one or a loop node. A cycle of such hops becomes a loop
+    node at its least state, with one hop, one turn, kept in loops."""
+    trail: dict[str, tuple] = {}
+    while h[1] in step and h[1] not in trail and h[1] not in loops:
+        trail[h[1]] = h
+        h = _join(h, step[h[1]])
+    if h[1] in trail:
+        states = list(trail)
+        h = trail[min(states[states.index(h[1]) :])]
+        loop = step[h[1]]
+        while loop[1] != h[1]:
+            loop = _join(loop, step[loop[1]])
+        loops[h[1]] = [loop]
+    return h
+
+
 def solve_unknown_credit(g: GameStructure) -> Verdict:
     """Decide whether Player 1 wins the energy objective for some
     nonnegative initial credit.
 
     Searches Player-2 memoryless strategies depth first, over Player-2
-    states in enumeration order. The fixed graph of the first strategy
-    not yet covered is searched for a reachable circuit with nonnegative
-    weight in every dimension; the search result is cached by the shape
-    of the fixed graph after chain contraction and removal of duplicate
-    parallel edges. A circuit found, entered by a shortest stem from the
-    initial state, is a lasso that depends on Player 2's choices only at
-    the Player-2 states it leaves from: every strategy that agrees there
-    (the cube) contains it. So one circuit search settles the whole
-    cube, and the search jumps back past it and skips every partial
-    strategy a learnt cube contains. On the 3SAT encodings a cube is
-    typically two clauses picking clashing literals, so the search runs
-    like DPLL on the formula instead of through all 3^clauses
-    strategies. Skipped strategies all contain a witness, so a spoiler,
-    if any, is the first in enumeration order.
+    states in enumeration order. The game is contracted once per solve:
+    its nodes are the Player-2 states, the Player-1 states with several
+    edges and the loops of single-edge Player-1 states, and each edge of
+    a node hops over single-edge Player-1 states to the next node. For
+    the first strategy not yet covered, a hop into a Player-2 node
+    follows that node's picked hop, and the next, to a Player-1 node or
+    a loop node; picks that close a cycle make it a loop node. What is
+    left, reachable from the initial state, is the fixed graph, searched
+    for a circuit with nonnegative weight in every dimension. A circuit
+    is kept as its walk of (node, node, weight) hops: a fixed graph that
+    has all of those hops has it too, so a circuit found for one
+    strategy settles later ones with no new search. A circuit, entered
+    by a stem shortest in hops from the initial state, is a lasso that
+    depends on Player 2's choices only at the Player-2 states it leaves
+    from: every strategy that agrees there (the cube) contains it. So
+    one circuit settles the whole cube, and the search jumps back past
+    it and skips every partial strategy a learnt cube contains. On the
+    3SAT encodings a cube is typically two clauses picking clashing
+    literals, so the search runs like DPLL on the formula instead of
+    through all 3^clauses strategies; on fixtures/unsat8.cnf it settles
+    28 fixed graphs with 3 circuit searches. Skipped strategies all
+    contain a witness, and a spoiler is returned only once a search has
+    found no circuit, so it is the first in enumeration order.
     """
     _require_valid(g)
     return _unknown_credit(g)
 
 
 def _unknown_credit(g: GameStructure) -> Verdict:
-    k = g.dimension
-    state_ids = [s.id for s in g.states]
-    sindex = {sid: i for i, sid in enumerate(state_ids)}
-    init = sindex[g.init]
     p2_states, options = _choice_space(g, 2)
-    position = {sindex[s]: i for i, s in enumerate(p2_states)}
-    # Records are prebuilt per edge so the per-strategy work only
-    # concatenates lists: (src index, dst index, weight, (edge id,)).
-    rec_of_edge = {
-        e.id: (sindex[e.src], sindex[e.dst], e.weight, (e.id,)) for e in g.edges
+    position = {s: i for i, s in enumerate(p2_states)}
+    # Contracted once per solve: each edge of a Player-2 state or of a
+    # Player-1 state with several edges hops over single-edge Player-1
+    # states to the next such state or to a loop node.
+    forced = {
+        s: (s, es[0].dst, es[0].weight, (es[0].id,)) for s, es in g.outgoing.items() if len(es) == 1 and g.owner(s) == 1
     }
-    fixed_recs = [rec_of_edge[e.id] for s in g.states if s.owner == 1 for e in g.out_edges(s.id)]
-    # (record, dst index) pairs out of each state, by state index.
-    out_pairs = [[(rec_of_edge[e.id], sindex[e.dst]) for e in g.out_edges(sid)] for sid in state_ids]
-    cache: dict[tuple, Optional[list[int]]] = {}
+    forced_loops: dict[str, list[tuple]] = {}
+    out = {
+        s.id: [_follow((s.id, e.dst, e.weight, (e.id,)), forced, forced_loops) for e in g.out_edges(s.id)]
+        for s in g.states if s.id not in forced
+    }
+    start = _follow((None, g.init, (0,) * g.dimension, ()), forced, forced_loops)
+    found: list[list[tuple]] = []
     cover: list[tuple[Cube, Lasso]] = []
 
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
-        chosen = [rec_of_edge[opts[i]] for opts, i in zip(options, pick)]
-        succ = list(out_pairs)
-        for rec in chosen:
-            succ[rec[0]] = ((rec, rec[1]),)
-        # Breadth first, so that parent edges spell shortest stems.
-        parent = graphs.reachable(init, succ.__getitem__)
-        live = [r for r in fixed_recs + chosen if r[0] in parent]
-        # Duplicate parallel edges are interchangeable for circuit
+        # A hop into a Player-2 node follows the picked hops, to a Player-1
+        # node or a loop node; picks that close a cycle make a loop node.
+        chosen = {s: out[s][i] for s, i in zip(p2_states, pick)}
+        loops = dict(forced_loops)
+        # Parallel hops of equal weight are interchangeable for circuit
         # existence; keep one representative each and remember its ids.
         rep: dict[tuple, tuple] = {}
-        for src, dst, weight, exp in graphs._simplify(live):
-            key = (src, dst, weight)
-            if key not in rep or exp < rep[key]:
-                rep[key] = exp
-        items = sorted(rep.items())
-        shape = tuple([t for t, _ in items])
-        if shape in cache:
-            abstract = cache[shape]
-        else:
-            abstract = graphs._search_circuit(
-                [(t[0], t[1], t[2], (i,)) for i, (t, _) in enumerate(items)], k, "nonnegative"
-            )
-            cache[shape] = abstract
-        if abstract is None:
-            return None
-        walk = [eid for i in abstract for eid in items[i][1]]
-        # Enter the circuit at its state nearest to the initial state.
+
+        def succ(u: str) -> list:
+            hops = loops[u] if u in loops else [_follow(h, chosen, loops) for h in out[u]]
+            for src, dst, weight, ids in hops:
+                rep.setdefault((src, dst, weight), ids)
+            return [(h, h[1]) for h in hops]
+
+        entry = _follow(start, chosen, loops)
+        # Breadth first, so that parent hops spell stems shortest in hops.
+        parent = graphs.reachable(entry[1], succ)
+        # A circuit found earlier, as its walk of (src, dst, weight) hops,
+        # is a closed walk here too if all its hops are.
+        circuit = next((c for c in found if all([t in rep for t in c])), None)
+        if circuit is None:
+            items = sorted(rep)
+            walk = graphs._search_circuit([(*t, (i,)) for i, t in enumerate(items)], g.dimension, "nonnegative")
+            if walk is None:
+                return None
+            circuit = [items[i] for i in walk]
+            found.append(circuit)
+        # Enter the circuit at its node nearest to the initial state.
         rank = {v: i for i, v in enumerate(parent)}
-        cut = min(range(len(walk)), key=lambda i: rank[rec_of_edge[walk[i]][0]])
-        stem = []
-        rec = parent[rec_of_edge[walk[cut]][0]]
-        while rec is not None:
-            stem.append(rec[3][0])
-            rec = parent[rec[0]]
-        lasso = Lasso(tuple(reversed(stem)), tuple(walk[cut:] + walk[:cut]))
-        srcs = {rec_of_edge[eid][0] for eid in stem + walk}
-        used = sorted(position[v] for v in srcs if v in position)
-        cover.append(({p2_states[i]: options[i][pick[i]] for i in used}, lasso))
+        cut = min(range(len(circuit)), key=lambda i: rank[circuit[i][0]])
+        cycle = [eid for t in circuit[cut:] + circuit[:cut] for eid in rep[t]]
+        stem, h = [], parent[circuit[cut][0]]
+        while h is not None:
+            stem[:0] = h[3]
+            h = parent[h[0]]
+        stem[:0] = entry[3]
+        used = sorted({position[s] for s in {g.edge_by_id[eid].src for eid in stem + cycle} if s in position})
+        cover.append(({p2_states[i]: options[i][pick[i]] for i in used}, Lasso(tuple(stem), tuple(cycle))))
         return tuple([(i, pick[i]) for i in used])
 
     pick = _first_uncovered([len(o) for o in options], (), settle)
     if pick is not None:
         spoiler = {s: opts[i] for s, opts, i in zip(p2_states, options, pick)}
         return Verdict(False, spoiler=MemorylessStrategy(2, spoiler))
-    n = len(graphs.reachable(init, out_pairs.__getitem__))
+    n = len(graphs.reachable(g.init, lambda s: [(None, e.dst) for e in g.out_edges(s)]))
     return Verdict(
         True, cover=tuple(cover), credit=sufficient_credit(g, n),
         choices=tuple(list(zip(p2_states, options))),
@@ -361,8 +394,11 @@ def verify_p1_certificate(
     g: GameStructure, s: Union[MooreStrategy, MemorylessStrategy]
 ) -> CertificateCheck:
     """Accept a Player-1 strategy iff its product with the game has no
-    reachable negative simple cycle in any dimension; on acceptance the
-    certificate is winning from the returned credit."""
+    reachable negative simple cycle in any dimension. On acceptance the
+    returned credit is the least one the strategy wins from: in each
+    dimension, max(0, -min dist), dist the least weight of a path from
+    the source to each product vertex. Player 2 can follow that path, and
+    no path does worse."""
     if s.player != 1:
         raise StrategyError("certificate must belong to Player 1")
     # product_with_strategy checks the certificate, a memoryless one as a
@@ -372,10 +408,14 @@ def verify_p1_certificate(
     # are reachable, and the source is node 0.
     rank = {v: i for i, v in enumerate(p.vertices)}
     edges = [(rank[e.src], rank[e.dst], e.weight) for e in p.edges]
+    credit = []
     for d in range(g.dimension):
-        if graphs._positive_cycle(len(rank), [(u, v, -w[d]) for u, v, w in edges]) is not None:
+        # Longest paths on the negated weights: -dist, 0 at the source.
+        negated: list = []
+        if graphs._positive_cycle(len(rank), [(u, v, -w[d]) for u, v, w in edges], negated) is not None:
             return CertificateCheck(False)
-    return CertificateCheck(True, sufficient_credit(g, len(p.vertices)))
+        credit.append(max(negated))
+    return CertificateCheck(True, tuple(credit))
 
 
 def verify_p2_spoiler(g: GameStructure, s: MemorylessStrategy) -> bool:
@@ -486,37 +526,24 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     multi = [(s, g.out_edges(s)) for s, opts in zip(states, options) if len(opts) > 1]
     m = len(multi)
     # Nodes of the hop graph: node j < m is the Player-1 state at position
-    # j of a choice vector; Player 2's choice states follow, then each
-    # loop of single edges, numbered when a hop first runs into it.
+    # j of a choice vector; Player 2's choice states follow, then the
+    # loops of single edges, in the order hops first run into them.
     branching = [s for s in g.states_of(2) if len(g.out_edges(s)) > 1]
     choice_states = [s for s, _ in multi] + branching
-    node = {s: j for j, s in enumerate(choice_states)}
-    forced = {s: es[0] for s, es in g.outgoing.items() if len(es) == 1}
-    loops: list[WeightVector] = []
+    forced = {s: (s, es[0].dst, es[0].weight, ()) for s, es in g.outgoing.items() if len(es) == 1}
+    loops: dict[str, list[tuple]] = {}
+    recs = [[_follow((s, e.dst, e.weight, ()), forced, loops) for e in g.out_edges(s)] for s in choice_states]
+    start_state = _follow((None, g.init, (0,) * g.dimension, ()), forced, loops)[1]
+    node = {s: j for j, s in enumerate(choice_states + list(loops))}
     # With k >= 2 a hop weight carries one more direction, the sum of its
     # k weights; a winner's cycles are nonnegative there too.
     k = g.dimension
     directed = (lambda w: w + (sum(w),)) if k > 1 else (lambda w: w)
-
-    def hop(at: str, weights: list[WeightVector]) -> tuple[int, WeightVector]:
-        # Follow single-edge states to the next choice state or around a
-        # loop of single edges: the node reached and the summed weight.
-        chain = {}
-        while at in forced and at not in chain:
-            chain[at] = len(weights)
-            weights.append(directed(forced[at].weight))
-            at = forced[at].dst
-        if at not in node:
-            node[at] = len(choice_states) + len(loops)
-            loops.append(tuple([sum(c) for c in zip(*weights[chain[at] :])]))
-        return node[at], tuple([sum(c) for c in zip(*weights)])
-
     # hops[u][o]: the node option o of node u leads to, and its weight. A
     # loop node has one hop, to itself, weighing one turn of the loop.
-    hops = [[hop(e.dst, [directed(e.weight)]) for e in g.out_edges(s)] for s in choice_states]
-    start = hop(g.init, [])[0]
-    first_loop = len(hops)
-    hops += [[(u, w)] for u, w in enumerate(loops, first_loop)]
+    hops = [[(node[h[1]], directed(h[2])) for h in hs] for hs in recs + list(loops.values())]
+    start = node[start_state]
+    first_loop = len(choice_states)
 
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
         # pick passed the relaxed test of the full vector (of the empty

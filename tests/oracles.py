@@ -337,6 +337,26 @@ def has_negative_simple_cycle(g: MultiGraph, d: int) -> bool:
     return any(cycle_sum(g, c, d) < 0 for c in simple_cycles(g))
 
 
+def least_credit(g: MultiGraph) -> tuple[int, ...]:
+    """Per dimension, max(0, -w) for w the least weight of a simple path
+    from g's source, by enumerating every simple path depth first. With
+    no reachable negative cycle a least-weight path may be taken simple,
+    so this is the least initial credit that keeps every path's running
+    sums nonnegative."""
+    out_edges: dict = {}
+    for e in g.edges:
+        out_edges.setdefault(e.src, []).append(e)
+    least = [0] * g.dimension
+    stack = [(g.source, (g.source,), (0,) * g.dimension)]
+    while stack:
+        v, path, w = stack.pop()
+        least = [min(a, b) for a, b in zip(least, w)]
+        for e in out_edges.get(v, ()):
+            if e.dst not in path:
+                stack.append((e.dst, path + (e.dst,), tuple(a + b for a, b in zip(w, e.weight))))
+    return tuple(-x for x in least)
+
+
 def value_iteration_energy(g: GameStructure) -> bool:
     """Classical single-dimension unknown-initial-credit decision.
 
@@ -523,6 +543,35 @@ def rand_game(
             )
         )
     return GameStructure(k, sts, "s0", tuple(eds))
+
+
+def rand_dense_game(
+    rng: random.Random, states: int = 10, p2_states: int = 3, k: int = 3, lo: int = -3, hi: int = 2
+) -> GameStructure:
+    """Unplanted game shaped like the benchmark's dense games: s0 is
+    initial, s1..s<p2_states> belong to Player 2, and edge j of every
+    state (id e<i>_<j>) follows the j-th of three random permutations of
+    the states, redrawn until every state is reachable from s0 along
+    Player-1 edges. Weights are uniform in [lo, hi]."""
+    owner = [2 if 1 <= i <= p2_states else 1 for i in range(states)]
+    while True:
+        perms = [rng.sample(range(states), states) for _ in range(3)]
+        seen, todo = {0}, [0]
+        while todo:
+            i = todo.pop()
+            for perm in perms if owner[i] == 1 else ():
+                if perm[i] not in seen:
+                    seen.add(perm[i])
+                    todo.append(perm[i])
+        if len(seen) == states:
+            break
+    sts = tuple(State(f"s{i}", owner[i]) for i in range(states))
+    eds = tuple(
+        Edge(f"e{i}_{j}", f"s{i}", f"s{perm[i]}", tuple(rng.randint(lo, hi) for _ in range(k)))
+        for i in range(states)
+        for j, perm in enumerate(perms)
+    )
+    return GameStructure(k, sts, "s0", eds)
 
 
 def random_walk(g: GameStructure, rng: random.Random, steps: int) -> list[str]:

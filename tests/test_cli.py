@@ -2,6 +2,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from mwg import cli, model, solvers, write_certificate
 from mwg.cli import main
 from conftest import FIXTURES, fixture_text
@@ -126,7 +128,29 @@ class TestCheck:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "YES"
-        assert lines[1] == "credit (12,12)"
+        assert lines[1] == "credit (3,0)"
+
+    @pytest.mark.parametrize("declared, verdict", [
+        ("(15,15)", "YES"), ("(0,2)", "YES"), ("(0,1)", "NO"), ("(0,0)", "NO"), (None, "YES"),
+    ])
+    def test_p1_declared_credit_must_dominate_the_least(self, capsys, tmp_path, declared, verdict):
+        # The knapsack strategy that `solve memoryless-energy` prints
+        # declares the n*W credit (15,15); it needs only (0,2).
+        code, out, _ = run(capsys, "solve", "memoryless-energy", KNAP2_GAME)
+        body = [line for line in out.splitlines()[1:] if not line.startswith("credit")]
+        assert out.splitlines()[-1] == "credit (15,15)"
+        cert = tmp_path / "knap.cert"
+        cert.write_text("\n".join(body + ([f"credit {declared}"] if declared else [])) + "\n")
+        code, out, _ = run(capsys, "check", "p1", KNAP2_GAME, str(cert))
+        assert code == 0
+        assert out.splitlines() == ([verdict, "credit (0,2)"] if verdict == "YES" else [verdict])
+
+    def test_p1_declared_credit_of_another_dimension_exits_3(self, capsys, tmp_path):
+        cert = tmp_path / "alt.cert"
+        cert.write_text(write_certificate(alternating_fig1_strategy(), (3, 0, 0)))
+        code, out, err = run(capsys, "check", "p1", FIG1, str(cert))
+        assert (code, out) == (3, "")
+        assert "credit has 3 components, expected 2" in err
 
     def test_p1_rejects_constant_return(self, capsys, tmp_path):
         cert = tmp_path / "bad.cert"

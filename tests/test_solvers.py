@@ -52,7 +52,9 @@ from oracles import (
     enumerate_p2_memoryless,
     first_p1_winner,
     first_p2_spoiler,
+    least_credit,
     rand_cnf,
+    rand_dense_game,
     rand_game,
     rand_knapsack,
     reachable_part,
@@ -311,6 +313,132 @@ class TestCover:
                 assert v.spoiler.choice == reference.choice
 
 
+def on_cycle(g, keep, through):
+    """Whether some state of `through` lies on a cycle of g whose states
+    are all in `keep`."""
+    for s in through:
+        seen = graphs.reachable(s, lambda v: [(None, e.dst) for e in g.out_edges(v) if e.dst in keep])
+        if any(e.dst == s for v in seen for e in g.out_edges(v)):
+            return True
+    return False
+
+
+def count_circuit_searches(g, monkeypatch):
+    """solve_unknown_credit(g), the fixed graphs it settles and the
+    circuit searches it runs, counted by wrapping its settle hook and
+    graphs._search_circuit."""
+    settled, searched = [], []
+    walk, search = solvers._first_uncovered, graphs._search_circuit
+    monkeypatch.setattr(
+        solvers, "_first_uncovered",
+        lambda sizes, cubes, settle: walk(sizes, cubes, lambda p: settled.append(tuple(p)) or settle(p)),
+    )
+    monkeypatch.setattr(graphs, "_search_circuit", lambda *a: searched.append(a) or search(*a))
+    v = solve_unknown_credit(g)
+    monkeypatch.undo()
+    return v, len(settled), len(searched)
+
+
+class TestCubeSearch:
+    """The search contracts single-edge Player-1 chains once per solve,
+    resolves each strategy's Player-2 picks into hops between Player-1
+    nodes and loop nodes, and reuses the circuits it has found."""
+
+    @pytest.mark.parametrize("seed, games", [(83, 1000), pytest.param(89, 20000, marks=pytest.mark.slow)])
+    def test_mostly_player2_games_match_the_flat_enumeration(self, seed, games):
+        # Two states in three belong to Player 2, so play often starts at
+        # a Player-2 state, Player-2 picks alone close cycles, and loops
+        # of single-edge Player-1 states occur too.
+        rng = random.Random(seed)
+        kinds = collections.Counter()
+        for _ in range(games):
+            g = rand_game(rng, max_states=8, max_edges=14, owners=(1, 2, 2))
+            v = solve_unknown_credit(g)
+            reference = first_p2_spoiler(g)
+            assert v.answer == (reference is None)
+            if reference is None:
+                assert verify_p2_cover(g, v.cover)
+            else:
+                assert v.spoiler.choice == reference.choice
+            forced = {s.id for s in g.states if s.owner == 1 and len(g.out_edges(s.id)) == 1}
+            p2 = set(g.states_of(2))
+            kinds["yes" if v.answer else "no"] += 1
+            kinds["p2 init"] += g.init in p2
+            kinds["p2 cycle"] += on_cycle(g, p2 | forced, p2)
+            kinds["forced loop"] += on_cycle(g, forced, forced)
+        assert min(kinds.values()) > games // 20, kinds
+
+    def test_unsat8_reuses_its_circuits(self, unsat8, monkeypatch):
+        # 28 fixed graphs are settled; a circuit of two clauses picking
+        # clashing literals is one walk of (init, init, weight) hops,
+        # whichever clauses pick them, so 3 searches serve all 28.
+        g = encode_3sat_two_player(unsat8)
+        v, settled, searched = count_circuit_searches(g, monkeypatch)
+        assert v.answer and verify_p2_cover(g, v.cover)
+        assert (settled, searched) == (28, 3)
+
+    def test_reused_circuit_runs_over_the_current_picks(self, monkeypatch):
+        # Both picks of weight (0,0) hop from a back to a with equal
+        # weight. The circuit found over p's pick settles the strategy
+        # that picks p1 and q0 without a search, and its lasso
+        # walks q's pick, the one that strategy makes.
+        g = hop_game("a", [("a", 1), ("p", 2), ("q", 2)], [
+            ("ap", "a", "p", (0, 0)), ("aq", "a", "q", (0, 0)),
+            ("p0", "p", "a", (0, 0)), ("p1", "p", "a", (1, -1)),
+            ("q0", "q", "a", (0, 0)), ("q1", "q", "a", (-1, 1)),
+        ])
+        v, settled, searched = count_circuit_searches(g, monkeypatch)
+        assert (settled, searched) == (3, 2)
+        assert v.cover[0] == ({"p": "p0"}, Lasso((), ("ap", "p0")))
+        assert v.cover[1] == ({"q": "q0"}, Lasso((), ("aq", "q0")))
+        assert verify_p2_cover(g, v.cover)
+
+    def test_player2_picks_closing_a_cycle(self):
+        # Play starts at p; picking p1 and q1 closes p -> q -> p, a loop
+        # node of weight 1 at p, the lasso's least state.
+        g = hop_game("q", [("p", 2), ("q", 2), ("a", 1)], [
+            ("p1", "p", "q", (1,)), ("p2", "p", "a", (0,)),
+            ("q1", "q", "p", (0,)), ("q2", "q", "a", (0,)),
+            ("a1", "a", "a", (-1,)), ("a2", "a", "p", (0,)),
+        ])
+        v = solve_unknown_credit(g)
+        assert v.cover[0] == ({"p": "p1", "q": "q1"}, Lasso(("q1",), ("p1", "q1")))
+        revalidate_witnesses(g, v)
+
+    def test_spanning_support_walks_a_vertex(self, monkeypatch):
+        # An unplanted dense game whose circuit LP point spans its
+        # component only after the max-support step: the midpoint of that
+        # step asks for a walk of more than 10^6 edges, a vertex of the
+        # circulations using every edge for a few hundred.
+        rng = random.Random(7)
+        g = [rand_dense_game(rng) for _ in range(4)][-1]
+        walks, supports = [], []
+        euler, widen = graphs._euler_walk, graphs.max_support_solution
+        monkeypatch.setattr(graphs, "_euler_walk", lambda recs, c: walks.append(sum(c)) or euler(recs, c))
+        monkeypatch.setattr(graphs, "max_support_solution", lambda *a: supports.append(a) or widen(*a))
+        v = solve_unknown_credit(g)
+        assert supports and max(walks) < 10**4
+        assert not v.answer and verify_p2_spoiler(g, v.spoiler)
+
+    @pytest.mark.slow
+    def test_spanning_supports_walk_short_circuits(self):
+        # 300 unplanted dense games: 73 of them asked for walks of more
+        # than 10^5 edges, up to 7.5 * 10^12, when the max-support
+        # midpoint itself was walked.
+        rng = random.Random(7)
+        walks = []
+        euler = graphs._euler_walk
+        graphs._euler_walk = lambda recs, counts: walks.append(sum(counts)) or euler(recs, counts)
+        try:
+            for _ in range(300):
+                g = rand_dense_game(rng)
+                v = solve_unknown_credit(g)
+                assert verify_p2_cover(g, v.cover) if v.answer else verify_p2_spoiler(g, v.spoiler)
+        finally:
+            graphs._euler_walk = euler
+        assert max(walks) < 10**4
+
+
 class TestMeanpayoffThreshold:
     def test_fig2_one_one_no(self, fig2):
         assert not solve_meanpayoff_threshold(fig2, (1, 1)).answer
@@ -361,9 +489,10 @@ class TestSufficientCredit:
 
 class TestVerifyP1:
     def test_alternating_accepted(self, fig1):
+        # The least credit the strategy wins from, not the n*W bound (12,12).
         res = verify_p1_certificate(fig1, alternating_fig1_strategy())
         assert res.accepted
-        assert res.credit == (12, 12)
+        assert res.credit == (3, 0)
 
     def test_constant_return_rejected(self, fig1):
         lam1 = MemorylessStrategy(1, {"q1": "loop", "q2": "ret_a"})
@@ -386,7 +515,8 @@ class TestVerifyP1:
 
     def test_matches_the_search_per_dimension(self):
         # The check ranks the product once for all dimensions; running
-        # negative_cycle_in_dimension on it per dimension must agree.
+        # negative_cycle_in_dimension on it per dimension must agree, and
+        # the credit must be the least one, found over simple paths.
         rng = random.Random(59)
         accepted = collections.Counter()
         for _ in range(300):
@@ -404,7 +534,7 @@ class TestVerifyP1:
                 wins = all(negative_cycle_in_dimension(p, d, p.source) is None for d in range(1, g.dimension + 1))
                 check = verify_p1_certificate(g, strategy)
                 assert check.accepted == wins
-                assert check.credit == (sufficient_credit(g, len(p.vertices)) if wins else None)
+                assert check.credit == (least_credit(p) if wins else None)
                 accepted[type(strategy), wins] += 1
         assert len(accepted) == 4 and min(accepted.values()) > 30
 
@@ -469,7 +599,8 @@ class TestMemorylessP1:
 
 def assert_first_p1_winner(g):
     """The nogood search returns what the flat enumeration returns:
-    answer, strategy (in the same key order) and credit."""
+    answer and strategy (in the same key order), with a credit that
+    dominates the least one the checker computes for that strategy."""
     v = solve_memoryless_p1_energy(g)
     reference = first_p1_winner(g)
     assert v.answer == (reference is not None)
@@ -477,7 +608,7 @@ def assert_first_p1_winner(g):
         assert v.strategy is None and v.credit is None
     else:
         assert list(v.strategy.choice.items()) == list(reference[0].choice.items())
-        assert v.credit == reference[1]
+        assert all(a >= b for a, b in zip(v.credit, reference[1]))
     return v.answer
 
 
