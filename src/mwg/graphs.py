@@ -303,8 +303,7 @@ def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
     return walk
 
 
-def _circulation_system(recs: list[_Rec], dimension: int, mode: str, spanning: bool = False):
-    # spanning adds x_e >= 1 for every edge, which _presolve absorbs as bounds.
+def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     vertices = sorted({r[0] for r in recs} | {r[1] for r in recs}, key=repr)
     names = [f"x{i}" for i in range(len(recs))]
     balance = {v: [0] * len(recs) for v in vertices}
@@ -316,8 +315,6 @@ def _circulation_system(recs: list[_Rec], dimension: int, mode: str, spanning: b
     for d in range(dimension):
         rows.append(([r[2][d] for r in recs], relation, 0))
     rows.append(([1] * len(recs), ">=", 1))
-    if spanning:
-        rows += [([int(i == j) for j in range(len(recs))], ">=", 1) for i in range(len(recs))]
     return system(names, rows), names
 
 
@@ -367,7 +364,10 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
             if len(support) < len(comp):
                 stack += components([r for r, x in zip(comp, names) if x in support])
                 continue
-            out = lp_feasible(_circulation_system(comp, dimension, mode, spanning=True)[0])
+            # x_e >= 1 on every edge; _presolve absorbs these rows as bounds.
+            rows = [(c.coeffs, c.relation, c.rhs) for c in sys_.constraints]
+            rows += [([int(i == j) for j in range(len(names))], ">=", 1) for i in range(len(names))]
+            out = lp_feasible(system(names, rows))
             if out.status != "feasible":
                 raise AssertionError("no circulation uses every edge of a spanning support")
             counts = integer_scale(out.assignment)

@@ -224,11 +224,6 @@ def _first_uncovered(
         pick[d] += 1
 
 
-def _join(a: tuple, b: tuple) -> tuple:
-    """Hop a followed by hop b, as records (src, dst, weight, edge ids)."""
-    return (a[0], b[1], tuple([x + y for x, y in zip(a[2], b[2])]), a[3] + b[3])
-
-
 def _follow(h: tuple, step: Mapping[str, tuple], loops: dict[str, list[tuple]]) -> tuple:
     """Extend the hop h, a record (src, dst, summed weight, edge ids) like
     _simplify's, by step's one hop out of each state it reaches, up to a
@@ -236,15 +231,12 @@ def _follow(h: tuple, step: Mapping[str, tuple], loops: dict[str, list[tuple]]) 
     node at its least state, with one hop, one turn, kept in loops."""
     trail: dict[str, tuple] = {}
     while h[1] in step and h[1] not in trail and h[1] not in loops:
-        trail[h[1]] = h
-        h = _join(h, step[h[1]])
+        trail[h[1]], nxt = h, step[h[1]]
+        h = (h[0], nxt[1], tuple([x + y for x, y in zip(h[2], nxt[2])]), h[3] + nxt[3])
     if h[1] in trail:
         states = list(trail)
         h = trail[min(states[states.index(h[1]) :])]
-        loop = step[h[1]]
-        while loop[1] != h[1]:
-            loop = _join(loop, step[loop[1]])
-        loops[h[1]] = [loop]
+        loops[h[1]] = [_follow(step[h[1]], step, {h[1]: []})]
     return h
 
 
@@ -253,29 +245,23 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
     nonnegative initial credit.
 
     Searches Player-2 memoryless strategies depth first, over Player-2
-    states in enumeration order. The game is contracted once per solve:
-    its nodes are the Player-2 states, the Player-1 states with several
-    edges and the loops of single-edge Player-1 states, and each edge of
-    a node hops over single-edge Player-1 states to the next node. For
-    the first strategy not yet covered, a hop into a Player-2 node
-    follows that node's picked hop, and the next, to a Player-1 node or
-    a loop node; picks that close a cycle make it a loop node. What is
-    left, reachable from the initial state, is the fixed graph, searched
-    for a circuit with nonnegative weight in every dimension. A circuit
-    is kept as its walk of (node, node, weight) hops: a fixed graph that
-    has all of those hops has it too, so a circuit found for one
-    strategy settles later ones with no new search. A circuit, entered
-    by a stem shortest in hops from the initial state, is a lasso that
-    depends on Player 2's choices only at the Player-2 states it leaves
-    from: every strategy that agrees there (the cube) contains it. So
-    one circuit settles the whole cube, and the search jumps back past
-    it and skips every partial strategy a learnt cube contains. On the
-    3SAT encodings a cube is typically two clauses picking clashing
+    states in enumeration order. Contracted once per solve, the game
+    hops over single-edge Player-1 states; in the fixed graph of the
+    first strategy not yet covered, a hop into a Player-2 state follows
+    the picked hops on to a Player-1 state or a loop node. That graph is
+    searched for a reachable circuit nonnegative in every dimension,
+    unless a circuit found earlier has all its hops in it. A circuit,
+    entered by a stem shortest in hops from the initial state, is a
+    lasso that depends on Player 2's choices only at the Player-2 states
+    it leaves from: every strategy that agrees there (the cube) contains
+    it. So one circuit settles the whole cube, and the search jumps back
+    past it and skips every partial strategy a learnt cube contains. On
+    the 3SAT encodings a cube is typically two clauses picking clashing
     literals, so the search runs like DPLL on the formula instead of
-    through all 3^clauses strategies; on fixtures/unsat8.cnf it settles
-    28 fixed graphs with 3 circuit searches. Skipped strategies all
-    contain a witness, and a spoiler is returned only once a search has
-    found no circuit, so it is the first in enumeration order.
+    through all 3^clauses strategies (unsat8.cnf: 28 fixed graphs, 3
+    circuit searches). Skipped strategies all contain a witness, and a
+    spoiler is returned only once a search found no circuit, so it is
+    the first in enumeration order.
     """
     _require_valid(g)
     return _unknown_credit(g)
@@ -284,24 +270,16 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
 def _unknown_credit(g: GameStructure) -> Verdict:
     p2_states, options = _choice_space(g, 2)
     position = {s: i for i, s in enumerate(p2_states)}
-    # Contracted once per solve: each edge of a Player-2 state or of a
-    # Player-1 state with several edges hops over single-edge Player-1
-    # states to the next such state or to a loop node.
-    forced = {
-        s: (s, es[0].dst, es[0].weight, (es[0].id,)) for s, es in g.outgoing.items() if len(es) == 1 and g.owner(s) == 1
-    }
+    # Every edge of a node hops over single-edge Player-1 states.
+    rec = {e.id: (e.src, e.dst, e.weight, (e.id,)) for e in g.edges}
+    forced = {s: rec[es[0].id] for s, es in g.outgoing.items() if len(es) == 1 and g.owner(s) == 1}
     forced_loops: dict[str, list[tuple]] = {}
-    out = {
-        s.id: [_follow((s.id, e.dst, e.weight, (e.id,)), forced, forced_loops) for e in g.out_edges(s.id)]
-        for s in g.states if s.id not in forced
-    }
+    out = {s: [_follow(rec[e.id], forced, forced_loops) for e in es] for s, es in g.outgoing.items() if s not in forced}
     start = _follow((None, g.init, (0,) * g.dimension, ()), forced, forced_loops)
     found: list[list[tuple]] = []
     cover: list[tuple[Cube, Lasso]] = []
 
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
-        # A hop into a Player-2 node follows the picked hops, to a Player-1
-        # node or a loop node; picks that close a cycle make a loop node.
         chosen = {s: out[s][i] for s, i in zip(p2_states, pick)}
         loops = dict(forced_loops)
         # Parallel hops of equal weight are interchangeable for circuit
@@ -774,7 +752,7 @@ def search_finite_memory_strategy(
     max_memory memory states, by enumeration in a canonical order.
 
     Returns the first strategy accepted by verify_p1_certificate together
-    with its credit. Exhausting the bound proves nothing (no a priori
+    with the least credit it wins from. Exhausting the bound proves nothing (no a priori
     memory bound is known), so absence is None, not a refusal. Intended
     for small games; the candidate space grows doubly exponentially.
     """

@@ -599,8 +599,9 @@ class TestMemorylessP1:
 
 def assert_first_p1_winner(g):
     """The nogood search returns what the flat enumeration returns:
-    answer and strategy (in the same key order), with a credit that
-    dominates the least one the checker computes for that strategy."""
+    answer, strategy (in the same key order) and the n*W credit, n the
+    states reachable under the strategy, which dominates the least
+    credit the checker computes for it."""
     v = solve_memoryless_p1_energy(g)
     reference = first_p1_winner(g)
     assert v.answer == (reference is not None)
@@ -608,6 +609,8 @@ def assert_first_p1_winner(g):
         assert v.strategy is None and v.credit is None
     else:
         assert list(v.strategy.choice.items()) == list(reference[0].choice.items())
+        n = len(product_with_strategy(g, as_moore(g, reference[0])).vertices)
+        assert v.credit == sufficient_credit(g, n)
         assert all(a >= b for a, b in zip(v.credit, reference[1]))
     return v.answer
 
