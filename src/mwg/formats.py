@@ -134,11 +134,15 @@ def write_game(g: GameStructure) -> str:
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF restricted to exactly three literals per clause.
     Comment lines start with `c`; the header is `p cnf <vars> <clauses>`;
-    clauses are 0-terminated literal runs, free-form across lines."""
+    clauses are 0-terminated literal runs, free-form across lines. A line
+    starting with `%` ends the formula, as in SATLIB files, which follow
+    it with a stray `0`."""
     header = None
     literals: list[tuple[int, int, int]] = []  # (value, line, column)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith(("c", "%")):
+        if raw.startswith("%"):
+            break
+        if raw.startswith("c"):
             continue
         toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw)]
         if not toks:
@@ -335,11 +339,12 @@ def write_certificate(
 
 def parse_threshold(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals: `a` or `a/b` per component."""
-    parts = text.split(",")
-    values = []
-    for i, part in enumerate(parts, start=1):
+    values, start = [], 1  # start: the 1-based column of part
+    for part in text.split(","):
         tok = part.strip()
         if not re.match(r"^-?\d+(/[1-9]\d*)?$", tok):
-            raise ParseError(1, i, f"malformed rational {tok!r}, expected a or a/b")
+            column = start + len(part) - len(part.lstrip())
+            raise ParseError(1, column, f"malformed rational {tok!r}, expected a or a/b")
         values.append(Fraction(tok))
+        start += len(part) + 1
     return tuple(values)

@@ -170,99 +170,68 @@ def _reached(g: MultiGraph, source: Vertex) -> dict:
 # -- internal circuit search -------------------------------------------------
 #
 # Internal edges are records (src, dst, weight, expansion) where expansion
-# is the tuple of original edge ids the record stands for. Chain
-# contraction merges forced passthroughs (out-degree-1 vertices) into
-# composite edges; circuits of the contracted graph correspond exactly to
-# circuits of the original, so witnesses expand back losslessly.
+# is the tuple of original edge ids the record stands for. The search
+# splits the records into strongly connected components first, as every
+# circuit lies inside one, then contracts each component's forced chains
+# with _follow. Circuits of the contracted components correspond exactly
+# to circuits of the original, so witnesses expand back losslessly.
 
 _Rec = tuple[Vertex, Vertex, tuple[int, ...], tuple]
 
 
-def _simplify(recs: list[_Rec]) -> list[_Rec]:
-    """Drop vertices that no circuit can visit and contract forced chains."""
-    edges: dict[int, _Rec] = dict(enumerate(recs))
-    next_id = len(recs)
-    outs: dict[Vertex, set[int]] = {}
-    ins: dict[Vertex, set[int]] = {}
-    for i, (src, dst, _, _) in edges.items():
-        outs.setdefault(src, set()).add(i)
-        ins.setdefault(dst, set()).add(i)
-        outs.setdefault(dst, set())
-        ins.setdefault(src, set())
+def _follow(h: tuple, step: Mapping, loops: dict[Vertex, list[tuple]]) -> tuple:
+    """Extend the hop h, a record (src, dst, summed weight, edge ids), by
+    step's one hop out of each state it reaches, up to a state without one
+    or a loop node. A cycle of such hops becomes a loop node at its least
+    state, with one hop, one turn, kept in loops."""
+    trail: dict = {}
+    while h[1] in step and h[1] not in trail and h[1] not in loops:
+        trail[h[1]], nxt = h, step[h[1]]
+        h = (h[0], nxt[1], tuple([x + y for x, y in zip(h[2], nxt[2])]), h[3] + nxt[3])
+    if h[1] in trail:
+        states = list(trail)
+        h = trail[min(states[states.index(h[1]) :])]
+        loops[h[1]] = [_follow(step[h[1]], step, {h[1]: []})]
+    return h
 
-    def drop_edge(i: int) -> None:
-        src, dst, _, _ = edges.pop(i)
-        outs[src].discard(i)
-        ins[dst].discard(i)
 
-    queue = sorted(outs, key=repr)
-    queued = set(queue)
-    while queue:
-        v = queue.pop()
-        queued.discard(v)
-        if v not in outs:
-            continue
-        touched: set[Vertex] = set()
-        if not outs[v] or not ins[v]:
-            # No circuit passes through v; remove it and its edges.
-            for i in list(outs[v]) + list(ins[v]):
-                if i in edges:
-                    touched.update((edges[i][0], edges[i][1]))
-                    drop_edge(i)
-            del outs[v], ins[v]
-            touched.discard(v)
-        elif len(outs[v]) == 1:
-            (oi,) = outs[v]
-            osrc, odst, ow, oexp = edges[oi]
-            if odst != v:
-                # Forced passthrough: fuse every incoming edge with the
-                # single outgoing one.
-                for fi in list(ins[v]):
-                    fsrc, _, fw, fexp = edges[fi]
-                    drop_edge(fi)
-                    fused = (fsrc, odst, tuple([a + b for a, b in zip(fw, ow)]), fexp + oexp)
-                    edges[next_id] = fused
-                    outs[fsrc].add(next_id)
-                    ins[odst].add(next_id)
-                    next_id += 1
-                    touched.update((fsrc, odst))
-                drop_edge(oi)
-                del outs[v], ins[v]
-                touched.discard(v)
-        for w in touched:
-            if w in outs and w not in queued:
-                queue.append(w)
-                queued.add(w)
-    return [edges[i] for i in sorted(edges)]
+def _simplify(recs: list[_Rec]) -> list[list[_Rec]]:
+    """The strongly connected components of recs, in _rec_sccs order, each
+    with its forced chains contracted: a vertex with one record inside the
+    component is hopped over. A component of forced vertices only is one
+    simple cycle (a self-loop alone included), which becomes one loop
+    record at its least vertex. Otherwise every chain of forced vertices
+    ends at an unforced one, and the contracted component is strongly
+    connected."""
+    out = []
+    for comp in _rec_sccs(recs):
+        inner = [recs[i] for i in comp]
+        outs = Counter([r[0] for r in inner])
+        forced = {r[0]: r for r in inner if outs[r[0]] == 1}
+        if len(forced) == len(outs):
+            v = min(forced)
+            out.append([_follow(forced[v], forced, {v: []})])
+        else:
+            out.append([_follow(r, forced, {}) for r in inner if r[0] not in forced])
+    return out
 
 
 def _rec_sccs(recs: list[_Rec]) -> list[list[int]]:
-    """Indices of recs grouped by SCC (internal edges only), deterministic."""
+    """Indices of recs grouped by SCC (internal edges only), ordered by
+    each SCC's least vertex under repr."""
     vertices = sorted({r[0] for r in recs} | {r[1] for r in recs}, key=repr)
     succ: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
     for src, dst, _, _ in recs:
         succ[src].append(dst)
+    rank = {v: i for i, v in enumerate(vertices)}
     comp_of: dict[Vertex, int] = {}
-    comps = _tarjan(vertices, succ)
-    comps = sorted((sorted(c, key=repr) for c in comps), key=lambda c: repr(c[0]))
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    for comp in _tarjan(vertices, succ):
+        comp_of.update(dict.fromkeys(comp, min([rank[v] for v in comp])))
     grouped: dict[int, list[int]] = {}
     for i, (src, dst, _, _) in enumerate(recs):
         if comp_of[src] == comp_of[dst]:
             grouped.setdefault(comp_of[src], []).append(i)
     return [grouped[ci] for ci in sorted(grouped)]
-
-
-def _weakly_connected(recs: list[_Rec]) -> bool:
-    if not recs:
-        return True
-    adj: dict[Vertex, list] = {}
-    for src, dst, _, _ in recs:
-        adj.setdefault(src, []).append((None, dst))
-        adj.setdefault(dst, []).append((None, src))
-    return len(reachable(recs[0][0], adj.__getitem__)) == len(adj)
 
 
 def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
@@ -321,9 +290,11 @@ def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
 def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     """Witness walk (original edge ids) of a qualifying circuit, or None.
 
-    Searched one strongly connected component at a time, depth first on
-    an explicit stack. In nonnegative mode each component first gets the
-    sign test of _sign_test, which is exact: every circuit is a union of
+    The records are split into strongly connected components first, and
+    each component's forced chains are then contracted (_simplify); the
+    components are searched one at a time, depth first on an explicit
+    stack. In nonnegative mode each component first gets the sign test
+    of _sign_test, which is exact: every circuit is a union of
     simple cycles of its component, so a dimension without a nonnegative
     simple cycle refutes the component, and a simple cycle nonnegative
     in every dimension is itself a witness. Only a component that neither
@@ -339,13 +310,9 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     time.
     """
 
-    def components(recs: list[_Rec]) -> list[list[_Rec]]:
-        # Last first, so the stack pops them in _rec_sccs order and a
-        # support's components come before the next sibling component.
-        recs = _simplify(recs)
-        return [[recs[i] for i in comp] for comp in reversed(_rec_sccs(recs))]
-
-    stack = components(recs)
+    # Components go on the stack last first, so it pops them in _rec_sccs
+    # order and a support's components come before the next sibling.
+    stack = _simplify(recs)[::-1]
     while stack:
         comp = stack.pop()
         if mode == "nonnegative":
@@ -359,10 +326,12 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
         if out.status != "feasible":
             continue
         counts = integer_scale(out.assignment)
-        if not _weakly_connected([r for r, x in zip(comp, names) if counts[x] > 0]):
+        # A circulation's support is a union of cycles: connected iff it is
+        # one strongly connected component.
+        if len(_rec_sccs([r for r, x in zip(comp, names) if counts[x] > 0])) > 1:
             out, support = max_support_solution(sys_, out)
             if len(support) < len(comp):
-                stack += components([r for r, x in zip(comp, names) if x in support])
+                stack += _simplify([r for r, x in zip(comp, names) if x in support])[::-1]
                 continue
             # x_e >= 1 on every edge; _presolve absorbs these rows as bounds.
             rows = [(c.coeffs, c.relation, c.rhs) for c in sys_.constraints]

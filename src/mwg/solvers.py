@@ -31,6 +31,7 @@ from .errors import DimensionError, InvalidGameError, StrategyError, WalkError
 from .graphs import (
     Circuit,
     MultiGraph,
+    _follow,
     circuit_weight,
     negative_cycle_in_dimension,  # noqa: F401 -- still looked up on this module
     validate_circuit,
@@ -222,22 +223,6 @@ def _first_uncovered(
             if d < 0:
                 return None
         pick[d] += 1
-
-
-def _follow(h: tuple, step: Mapping[str, tuple], loops: dict[str, list[tuple]]) -> tuple:
-    """Extend the hop h, a record (src, dst, summed weight, edge ids) like
-    _simplify's, by step's one hop out of each state it reaches, up to a
-    state without one or a loop node. A cycle of such hops becomes a loop
-    node at its least state, with one hop, one turn, kept in loops."""
-    trail: dict[str, tuple] = {}
-    while h[1] in step and h[1] not in trail and h[1] not in loops:
-        trail[h[1]], nxt = h, step[h[1]]
-        h = (h[0], nxt[1], tuple([x + y for x, y in zip(h[2], nxt[2])]), h[3] + nxt[3])
-    if h[1] in trail:
-        states = list(trail)
-        h = trail[min(states[states.index(h[1]) :])]
-        loops[h[1]] = [_follow(step[h[1]], step, {h[1]: []})]
-    return h
 
 
 def solve_unknown_credit(g: GameStructure) -> Verdict:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mwg import cli, model, solvers, write_certificate
+from mwg import cli, graphs, model, parse_game, solvers, write_certificate
 from mwg.cli import main
 from conftest import FIXTURES, fixture_text
 from test_model import alternating_fig1_strategy
@@ -274,6 +274,30 @@ class TestCircuit:
         code, out, _ = run(capsys, "circuit", "zero", str(game))
         assert code == 0
         assert out == "NO\n"
+
+
+@pytest.mark.parametrize("mode", ["zero", "nonneg"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mwg")), ids=lambda p: p.name)
+def test_circuit_witness_on_every_fixture(capsys, path, mode):
+    """A printed walk is a circuit of the game weighing 0 in every
+    dimension (zero), or at least 0 and reachable from init (nonneg)."""
+    code, out, _ = run(capsys, "circuit", mode, str(path))
+    assert code == 0
+    if out == "NO\n":
+        return
+    verdict, line = out.splitlines()
+    assert verdict == "YES" and line.startswith("circuit ")
+    g = parse_game(path.read_text())
+    mg = solvers.as_multigraph(g)
+    c = graphs.Circuit.from_walk(line.split()[1:])
+    graphs.validate_circuit(mg, c)
+    weight = graphs.circuit_weight(mg, c)
+    if mode == "zero":
+        assert all(w == 0 for w in weight)
+    else:
+        assert all(w >= 0 for w in weight)
+        first = g.edge_by_id[c.edges[0]].src
+        assert first in graphs.reachable(g.init, lambda s: [(None, e.dst) for e in g.out_edges(s)])
 
 
 class TestOracle:

@@ -154,6 +154,11 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 3 2\n1 2 3 0\n")
 
+    def test_percent_line_ends_formula(self):
+        # SATLIB files close with `%` and a stray `0`.
+        f = parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+        assert f.clauses == ((1, -2, 3),)
+
 
 class TestKnapsackFormat:
     def test_fixture_values(self, knap2):
@@ -251,3 +256,9 @@ class TestThreshold:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_threshold("")
+
+    def test_error_column_is_where_the_component_starts(self):
+        with pytest.raises(ParseError, match="line 1, column 4"):
+            parse_threshold("1, 0.5")
+        with pytest.raises(ParseError, match="line 1, column 7"):
+            parse_threshold(" 2 ,  x")

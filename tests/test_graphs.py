@@ -434,8 +434,7 @@ class TestCircuitSearchAgainstOracle:
 def components(g: MultiGraph) -> list[list]:
     """The strongly connected components the circuit search starts from,
     as lists of its internal edge records."""
-    recs = graphs._simplify([(e.src, e.dst, e.weight, (e.id,)) for e in sorted(g.edges, key=lambda e: repr(e.id))])
-    return [[recs[i] for i in comp] for comp in graphs._rec_sccs(recs)]
+    return graphs._simplify([(e.src, e.dst, e.weight, (e.id,)) for e in sorted(g.edges, key=lambda e: repr(e.id))])
 
 
 def sign_test_corpus(seed: int, graphs_each: int) -> list[MultiGraph]:
@@ -470,6 +469,45 @@ def assert_sign_test_agrees_with_lp(corpus: list[MultiGraph]) -> None:
                 assert min(circuit_weight(g, c)) >= 0
                 assert status == "feasible"
     assert min(seen.values()) > 0, seen
+
+
+def assert_contraction_exact(g: MultiGraph) -> None:
+    """Each component is strongly connected and has no forced vertex left
+    (one record out, not a self-loop); each record's ids walk g from its
+    src to its dst and weigh what it does; together the records use
+    exactly the edges of g whose ends share a strongly connected
+    component."""
+    by_id = {e.id: e for e in g.edges}
+    succ = {v: [(None, e.dst) for e in g.edges if e.src == v] for v in g.vertices}
+    reach = {v: set(reachable(v, succ.__getitem__)) for v in g.vertices}
+    used = set()
+    for comp in components(g):
+        outs: dict = {}
+        for src, dst, weight, ids in comp:
+            outs.setdefault(src, []).append(dst)
+            at, total = src, [0] * g.dimension
+            for eid in ids:
+                assert by_id[eid].src == at
+                at = by_id[eid].dst
+                total = [a + b for a, b in zip(total, by_id[eid].weight)]
+            assert ids and at == dst and tuple(total) == weight
+            used.update(ids)
+        assert all(not (len(dsts) == 1 and dsts[0] != v) for v, dsts in outs.items())
+        vertices = set(outs) | {r[1] for r in comp}
+        for v in vertices:
+            assert set(reachable(v, lambda u: [(None, w) for w in outs.get(u, ())])) == vertices
+    assert used == {e.id for e in g.edges if e.src in reach[e.dst]}
+
+
+class TestSimplify:
+    def test_contraction_is_exact(self):
+        for g in sign_test_corpus(41, 150):
+            assert_contraction_exact(g)
+
+    def test_forced_cycle_is_one_loop_at_its_least_vertex(self):
+        edges = (GraphEdge("e1", "b", "c", (1,)), GraphEdge("e2", "c", "a", (-2,)), GraphEdge("e3", "a", "b", (3,)))
+        g = MultiGraph(1, ("a", "b", "c"), edges, "b")
+        assert components(g) == [[("a", "a", (2,), ("e3", "e1", "e2"))]]
 
 
 class TestSignTest:
