@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from . import graphs, solvers
 from .errors import InvalidGameError, MwgError, ParseError
 from .formats import (
+    _vector_text,
     parse_certificate,
     parse_dimacs,
     parse_game,
@@ -92,12 +93,8 @@ def _cmd_solve(args) -> int:
     if args.variant.startswith("memoryless"):
         return _emit(v.answer, write_certificate(v.strategy, v.credit) if v.answer else "")
     if v.answer:
-        return _emit(True, f"credit {_vec(v.credit)}\n")
+        return _emit(True, f"credit {_vector_text(v.credit)}\n")
     return _emit(False, write_certificate(v.spoiler))
-
-
-def _vec(v) -> str:
-    return "(" + ",".join(str(int(c)) for c in v) + ")"
 
 
 def _cmd_check(args) -> int:
@@ -112,7 +109,7 @@ def _cmd_check(args) -> int:
         result = solvers.verify_p1_certificate(g, strategy)
         # A declared credit must dominate the least one the strategy needs.
         accepted = result.accepted and (declared is None or all([a >= b for a, b in zip(declared, result.credit)]))
-        return _emit(accepted, f"credit {_vec(result.credit)}\n" if accepted else "")
+        return _emit(accepted, f"credit {_vector_text(result.credit)}\n" if accepted else "")
     if not isinstance(strategy, MemorylessStrategy):
         raise _InputError(f"{args.certificate}: Player-2 certificates must be memoryless")
     return _emit(solvers.verify_p2_spoiler(g, strategy))
@@ -200,13 +197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except MwgError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except ValueError as exc:
+    except (_InputError, MwgError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

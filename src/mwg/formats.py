@@ -25,6 +25,11 @@ or finite-memory machines
     next <m> <state> -> <edge id>
 
 optionally followed by `credit (<c1>,...,<ck>)`.
+
+Every parse error names the line and column of the offending token. A
+problem found only at the end of the file points to the last line,
+column 1; a certificate with no memory or initial line, to line 1,
+column 1. DIMACS files have no `#` comments.
 """
 
 from __future__ import annotations
@@ -37,81 +42,86 @@ from .errors import ParseError
 from .model import Edge, GameStructure, MemorylessStrategy, MooreStrategy, State
 from .reductions import CnfFormula, KnapsackInstance
 
-_TOKEN = re.compile(r"\S+")
-_WEIGHT = re.compile(r"^w=\((-?\d+)(?:,(-?\d+))*\)$")
+_TOKEN = re.compile(r"\S+")  # the tokens of str.split(), with their positions
+_VECTOR = re.compile(r"\(-?\d+(?:,-?\d+)*\)")
 _INT = re.compile(r"^-?\d+$")
 
 
-def _tokenize(text: str):
-    """Per line: list of (token, 1-based column), comments stripped."""
+def _lines(text: str):
+    """(line number, line without its # comment, line.split()) for each
+    line that has a token."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        line = raw.partition("#")[0]
+        toks = line.split()
         if toks:
-            out.append((lineno, toks))
+            out.append((lineno, line, toks))
     return out
 
 
-def _fail(lineno: int, column: int, reason: str):
+def _fail(lineno: int, line: str, i: int, reason: str):
+    """Raise a ParseError at the column of token i of line."""
+    column = [m.start() for m in _TOKEN.finditer(line)][i] + 1
     raise ParseError(lineno, column, reason)
 
 
-def _parse_weight(tok: str, lineno: int, column: int) -> tuple[int, ...]:
-    if _WEIGHT.match(tok) is None:
-        _fail(lineno, column, f"malformed weight {tok!r}, expected w=(<int>,...)")
-    return tuple([int(x) for x in tok[3:-1].split(",")])
+def _expect(ok: bool, lineno: int, line: str, usage: str) -> None:
+    """Fail at the line's first token, quoting usage, unless ok."""
+    if not ok:
+        _fail(lineno, line, 0, f"expected '{usage}'")
+
+
+def _vector(lineno: int, line: str, toks: list[str], i: int, what: str, prefix: str) -> tuple[int, ...]:
+    """The integers of token i, written `<prefix>(<int>,...)`."""
+    tok = toks[i]
+    if not tok.startswith(prefix) or _VECTOR.fullmatch(tok, len(prefix)) is None:
+        _fail(lineno, line, i, f"malformed {what} {tok!r}, expected {prefix}(<int>,...)")
+    return tuple([int(x) for x in tok[len(prefix) + 1 : -1].split(",")])
 
 
 def parse_game(text: str) -> GameStructure:
     """Parse a game file. Raises ParseError with line and column on
     grammar violations; structural problems (duplicate ids, weight arity,
     out-degrees) are left to validate_game."""
-    lines = _tokenize(text)
+    lines = _lines(text)
     last_line = text.count("\n") + 1
     if not lines:
-        _fail(1, 1, "missing header 'mwg 1'")
-    lineno, toks = lines[0]
-    if [t for t, _ in toks] != ["mwg", "1"]:
-        _fail(lineno, toks[0][1], "expected header 'mwg 1'")
+        raise ParseError(1, 1, "missing header 'mwg 1'")
+    lineno, line, toks = lines[0]
+    if toks != ["mwg", "1"]:
+        _fail(lineno, line, 0, "expected header 'mwg 1'")
     if len(lines) < 2:
-        _fail(last_line, 1, "missing 'dimension <k>' line")
-    lineno, toks = lines[1]
-    if len(toks) != 2 or toks[0][0] != "dimension":
-        _fail(lineno, toks[0][1], "expected 'dimension <k>'")
-    if not _INT.match(toks[1][0]) or int(toks[1][0]) < 1:
-        _fail(lineno, toks[1][1], "dimension must be a positive integer")
-    dimension = int(toks[1][0])
+        raise ParseError(last_line, 1, "missing 'dimension <k>' line")
+    lineno, line, toks = lines[1]
+    _expect(len(toks) == 2 and toks[0] == "dimension", lineno, line, "dimension <k>")
+    if not _INT.match(toks[1]) or int(toks[1]) < 1:
+        _fail(lineno, line, 1, "dimension must be a positive integer")
+    dimension = int(toks[1])
     states: list[State] = []
     edges: list[Edge] = []
     init: Optional[str] = None
-    for lineno, toks in lines[2:]:
-        kind = toks[0][0]
+    for lineno, line, toks in lines[2:]:
+        kind = toks[0]
         if kind == "state":
             if edges:
-                _fail(lineno, toks[0][1], "state line after edge lines")
-            if len(toks) not in (3, 4):
-                _fail(lineno, toks[0][1], "expected 'state <id> owner=<1|2> [init]'")
-            sid = toks[1][0]
-            owner_tok, owner_col = toks[2]
-            if owner_tok not in ("owner=1", "owner=2"):
-                _fail(lineno, owner_col, f"malformed owner {owner_tok!r}, expected owner=1 or owner=2")
+                _fail(lineno, line, 0, "state line after edge lines")
+            _expect(len(toks) in (3, 4), lineno, line, "state <id> owner=<1|2> [init]")
+            if toks[2] not in ("owner=1", "owner=2"):
+                _fail(lineno, line, 2, f"malformed owner {toks[2]!r}, expected owner=1 or owner=2")
             if len(toks) == 4:
-                if toks[3][0] != "init":
-                    _fail(lineno, toks[3][1], f"unexpected token {toks[3][0]!r}")
+                if toks[3] != "init":
+                    _fail(lineno, line, 3, f"unexpected token {toks[3]!r}")
                 if init is not None:
-                    _fail(lineno, toks[3][1], "second state marked init")
-                init = sid
-            states.append(State(sid, int(owner_tok[-1])))
+                    _fail(lineno, line, 3, "second state marked init")
+                init = toks[1]
+            states.append(State(toks[1], int(toks[2][-1])))
         elif kind == "edge":
-            if len(toks) != 5:
-                _fail(lineno, toks[0][1], "expected 'edge <id> <src> <dst> w=(...)'")
-            weight = _parse_weight(toks[4][0], lineno, toks[4][1])
-            edges.append(Edge(toks[1][0], toks[2][0], toks[3][0], weight))
+            _expect(len(toks) == 5, lineno, line, "edge <id> <src> <dst> w=(...)")
+            edges.append(Edge(toks[1], toks[2], toks[3], _vector(lineno, line, toks, 4, "weight", "w=")))
         else:
-            _fail(lineno, toks[0][1], f"unknown directive {kind!r}")
+            _fail(lineno, line, 0, f"unknown directive {kind!r}")
     if init is None:
-        _fail(last_line, 1, "no initial state")
+        raise ParseError(last_line, 1, "no initial state")
     return GameStructure(dimension, tuple(states), init, tuple(edges))
 
 
@@ -136,54 +146,51 @@ def parse_dimacs(text: str) -> CnfFormula:
     Comment lines start with `c`; the header is `p cnf <vars> <clauses>`;
     clauses are 0-terminated literal runs, free-form across lines. A line
     starting with `%` ends the formula, as in SATLIB files, which follow
-    it with a stray `0`."""
+    it with a stray `0`. There are no `#` comments."""
     header = None
-    literals: list[tuple[int, int, int]] = []  # (value, line, column)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("%"):
+    rows: list[tuple[int, str, list[int]]] = []  # (line number, line, literals)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("%"):
             break
-        if raw.startswith("c"):
-            continue
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw)]
+        toks = [] if line.startswith("c") else line.split()
         if not toks:
             continue
-        if toks[0][0] == "p":
+        if toks[0] == "p":
             if header is not None:
-                _fail(lineno, toks[0][1], "duplicate header")
-            if len(toks) != 4 or toks[1][0] != "cnf":
-                _fail(lineno, toks[0][1], "expected 'p cnf <vars> <clauses>'")
-            for tok, col in toks[2:]:
-                if not _INT.match(tok) or int(tok) < 0:
-                    _fail(lineno, col, f"malformed count {tok!r}")
-            header = (int(toks[2][0]), int(toks[3][0]), lineno)
+                _fail(lineno, line, 0, "duplicate header")
+            _expect(len(toks) == 4 and toks[1] == "cnf", lineno, line, "p cnf <vars> <clauses>")
+            for i in (2, 3):
+                if not _INT.match(toks[i]) or int(toks[i]) < 0:
+                    _fail(lineno, line, i, f"malformed count {toks[i]!r}")
+            header = (int(toks[2]), int(toks[3]), lineno)
             continue
         if header is None:
-            _fail(lineno, toks[0][1], "clause before 'p cnf' header")
-        for tok, col in toks:
+            _fail(lineno, line, 0, "clause before 'p cnf' header")
+        for i, tok in enumerate(toks):
             if not _INT.match(tok):
-                _fail(lineno, col, f"malformed literal {tok!r}")
-            literals.append((int(tok), lineno, col))
+                _fail(lineno, line, i, f"malformed literal {tok!r}")
+        rows.append((lineno, line, [int(tok) for tok in toks]))
     if header is None:
-        last_line = text.count("\n") + 1
-        _fail(last_line, 1, "missing 'p cnf' header")
+        raise ParseError(text.count("\n") + 1, 1, "missing 'p cnf' header")
     nvars, nclauses, header_line = header
     clauses: list[tuple[int, int, int]] = []
     current: list[int] = []
-    for value, lineno, col in literals:
-        if value == 0:
-            if len(current) != 3:
-                _fail(lineno, col, f"clause has {len(current)} literals, expected 3")
-            clauses.append(tuple(current))
-            current = []
-            continue
-        if abs(value) > nvars:
-            _fail(lineno, col, f"variable {abs(value)} out of range 1..{nvars}")
-        current.append(value)
+    for lineno, line, values in rows:
+        for i, value in enumerate(values):
+            if value == 0:
+                if len(current) != 3:
+                    _fail(lineno, line, i, f"clause has {len(current)} literals, expected 3")
+                clauses.append(tuple(current))
+                current = []
+                continue
+            if abs(value) > nvars:
+                _fail(lineno, line, i, f"variable {abs(value)} out of range 1..{nvars}")
+            current.append(value)
     if current:
-        lineno, col = literals[-1][1], literals[-1][2]
-        _fail(lineno, col, "unterminated clause (missing 0)")
+        lineno, line, values = rows[-1]
+        _fail(lineno, line, len(values) - 1, "unterminated clause (missing 0)")
     if len(clauses) != nclauses:
-        _fail(header_line, 1, f"header promises {nclauses} clauses, found {len(clauses)}")
+        raise ParseError(header_line, 1, f"header promises {nclauses} clauses, found {len(clauses)}")
     return CnfFormula(nvars, tuple(clauses))
 
 
@@ -191,53 +198,32 @@ def parse_knapsack(text: str) -> KnapsackInstance:
     """Knapsack format: `item <profit> <weight>` lines (at least one),
     plus exactly one `bound <B>` and one `target <P>` line; `#` comments."""
     items: list[tuple[int, int]] = []
-    bound: Optional[int] = None
-    target: Optional[int] = None
+    scalars: dict[str, int] = {}  # the bound and the target
 
-    def nonneg(tok: str, lineno: int, col: int) -> int:
-        if not _INT.match(tok) or int(tok) < 0:
-            _fail(lineno, col, f"expected a nonnegative integer, got {tok!r}")
-        return int(tok)
+    def nonneg(i: int) -> int:
+        if not _INT.match(toks[i]) or int(toks[i]) < 0:
+            _fail(lineno, line, i, f"expected a nonnegative integer, got {toks[i]!r}")
+        return int(toks[i])
 
-    for lineno, toks in _tokenize(text):
-        kind, col = toks[0]
+    for lineno, line, toks in _lines(text):
+        kind = toks[0]
         if kind == "item":
-            if len(toks) != 3:
-                _fail(lineno, col, "expected 'item <profit> <weight>'")
-            profit = nonneg(toks[1][0], lineno, toks[1][1])
-            weight = nonneg(toks[2][0], lineno, toks[2][1])
-            items.append((profit, weight))
-        elif kind == "bound":
-            if len(toks) != 2:
-                _fail(lineno, col, "expected 'bound <B>'")
-            if bound is not None:
-                _fail(lineno, col, "duplicate bound line")
-            bound = nonneg(toks[1][0], lineno, toks[1][1])
-        elif kind == "target":
-            if len(toks) != 2:
-                _fail(lineno, col, "expected 'target <P>'")
-            if target is not None:
-                _fail(lineno, col, "duplicate target line")
-            target = nonneg(toks[1][0], lineno, toks[1][1])
+            _expect(len(toks) == 3, lineno, line, "item <profit> <weight>")
+            items.append((nonneg(1), nonneg(2)))
+        elif kind in ("bound", "target"):
+            _expect(len(toks) == 2, lineno, line, "bound <B>" if kind == "bound" else "target <P>")
+            if kind in scalars:
+                _fail(lineno, line, 0, f"duplicate {kind} line")
+            scalars[kind] = nonneg(1)
         else:
-            _fail(lineno, col, f"unknown directive {kind!r}")
+            _fail(lineno, line, 0, f"unknown directive {kind!r}")
     last_line = text.count("\n") + 1
     if not items:
-        _fail(last_line, 1, "no item lines")
-    if bound is None:
-        _fail(last_line, 1, "no bound line")
-    if target is None:
-        _fail(last_line, 1, "no target line")
-    return KnapsackInstance(tuple(items), bound, target)
-
-
-_CREDIT = re.compile(r"^\((-?\d+)(?:,(-?\d+))*\)$")
-
-
-def _parse_credit(tok: str, lineno: int, col: int) -> tuple[int, ...]:
-    if _CREDIT.match(tok) is None:
-        _fail(lineno, col, f"malformed credit {tok!r}, expected (<int>,...)")
-    return tuple([int(x) for x in tok[1:-1].split(",")])
+        raise ParseError(last_line, 1, "no item lines")
+    for kind in ("bound", "target"):
+        if kind not in scalars:
+            raise ParseError(last_line, 1, f"no {kind} line")
+    return KnapsackInstance(tuple(items), scalars["bound"], scalars["target"])
 
 
 def parse_certificate(
@@ -248,71 +234,60 @@ def parse_certificate(
     machine lines (`memory`/`initial`/`update`/`next`) a finite-memory
     one; mixing the two is an error. A file with no strategy lines is the
     empty memoryless strategy (games where the player owns no state)."""
+    lines = _lines(text)
     choose: dict[str, str] = {}
     memory: list[str] = []
     initial: Optional[str] = None
     update: dict[tuple[str, str], str] = {}
     action: dict[tuple[str, str], str] = {}
     credit: Optional[tuple[int, ...]] = None
-    saw_choose = False
-    saw_machine = False
-    for lineno, toks in _tokenize(text):
-        kind, col = toks[0]
+    for lineno, line, toks in lines:
+        kind = toks[0]
         if kind == "choose":
-            saw_choose = True
-            if len(toks) != 3:
-                _fail(lineno, col, "expected 'choose <state> <edge>'")
-            if toks[1][0] in choose:
-                _fail(lineno, toks[1][1], f"duplicate choose line for state {toks[1][0]!r}")
-            choose[toks[1][0]] = toks[2][0]
+            _expect(len(toks) == 3, lineno, line, "choose <state> <edge>")
+            if toks[1] in choose:
+                _fail(lineno, line, 1, f"duplicate choose line for state {toks[1]!r}")
+            choose[toks[1]] = toks[2]
         elif kind == "memory":
-            saw_machine = True
-            if len(toks) != 2:
-                _fail(lineno, col, "expected 'memory <id>'")
-            if toks[1][0] in memory:
-                _fail(lineno, toks[1][1], f"duplicate memory state {toks[1][0]!r}")
-            memory.append(toks[1][0])
+            _expect(len(toks) == 2, lineno, line, "memory <id>")
+            if toks[1] in memory:
+                _fail(lineno, line, 1, f"duplicate memory state {toks[1]!r}")
+            memory.append(toks[1])
         elif kind == "initial":
-            saw_machine = True
-            if len(toks) != 2:
-                _fail(lineno, col, "expected 'initial <id>'")
+            _expect(len(toks) == 2, lineno, line, "initial <id>")
             if initial is not None:
-                _fail(lineno, col, "duplicate initial line")
-            initial = toks[1][0]
+                _fail(lineno, line, 0, "duplicate initial line")
+            initial = toks[1]
         elif kind in ("update", "next"):
-            saw_machine = True
-            if len(toks) != 5 or toks[3][0] != "->":
-                _fail(lineno, col, f"expected '{kind} <m> <state> -> <target>'")
-            key = (toks[1][0], toks[2][0])
+            _expect(len(toks) == 5 and toks[3] == "->", lineno, line, f"{kind} <m> <state> -> <target>")
+            key = (toks[1], toks[2])
             table = update if kind == "update" else action
             if key in table:
-                _fail(lineno, col, f"duplicate {kind} line for {key}")
-            table[key] = toks[4][0]
+                _fail(lineno, line, 0, f"duplicate {kind} line for {key}")
+            table[key] = toks[4]
         elif kind == "credit":
-            if len(toks) != 2:
-                _fail(lineno, col, "expected 'credit (<int>,...)'")
+            _expect(len(toks) == 2, lineno, line, "credit (<int>,...)")
             if credit is not None:
-                _fail(lineno, col, "duplicate credit line")
-            credit = _parse_credit(toks[1][0], lineno, toks[1][1])
+                _fail(lineno, line, 0, "duplicate credit line")
+            credit = _vector(lineno, line, toks, 1, "credit", "")
         else:
-            _fail(lineno, col, f"unknown directive {kind!r}")
-    if saw_choose and saw_machine:
-        _fail(1, 1, "certificate mixes memoryless and finite-memory lines")
-    if saw_machine:
-        if not memory:
-            _fail(1, 1, "machine certificate has no memory lines")
-        if initial is None:
-            _fail(1, 1, "machine certificate has no initial line")
-        if initial not in memory:
-            _fail(1, 1, f"initial memory {initial!r} is not declared")
-        for (m, _s), m2 in update.items():
-            if m not in memory or m2 not in memory:
-                _fail(1, 1, f"update line references undeclared memory {m!r} or {m2!r}")
-        for (m, _s) in action:
-            if m not in memory:
-                _fail(1, 1, f"next line references undeclared memory {m!r}")
-        return MooreStrategy(player, tuple(memory), initial, update, action), credit
-    return MemorylessStrategy(player, choose), credit
+            _fail(lineno, line, 0, f"unknown directive {kind!r}")
+    if not (memory or initial is not None or update or action):
+        return MemorylessStrategy(player, choose), credit
+    if choose:
+        kinds = [(toks[0] == "choose", lineno, line) for lineno, line, toks in lines if toks[0] != "credit"]
+        _, lineno, line = next(k for k in kinds if k[0] != kinds[0][0])  # the second kind's first line
+        _fail(lineno, line, 0, "certificate mixes memoryless and finite-memory lines")
+    if not memory:
+        raise ParseError(1, 1, "machine certificate has no memory lines")
+    if initial is None:
+        raise ParseError(1, 1, "machine certificate has no initial line")
+    refs = {"initial": (1,), "update": (1, 4), "next": (1,)}  # the memory ids each line names
+    for lineno, line, toks in lines:
+        for i in refs.get(toks[0], ()):
+            if toks[i] not in memory:
+                _fail(lineno, line, i, f"{toks[0]} line references undeclared memory {toks[i]!r}")
+    return MooreStrategy(player, tuple(memory), initial, update, action), credit
 
 
 def write_certificate(

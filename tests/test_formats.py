@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwg import (
     MemorylessStrategy,
@@ -262,3 +264,105 @@ class TestThreshold:
             parse_threshold("1, 0.5")
         with pytest.raises(ParseError, match="line 1, column 7"):
             parse_threshold(" 2 ,  x")
+
+
+PARSERS = {
+    "game": parse_game,
+    "dimacs": parse_dimacs,
+    "knapsack": parse_knapsack,
+    "cert": lambda text: parse_certificate(text, 1),
+}
+
+
+class TestErrorPositions:
+    """The exact error text, position included, of malformed inputs: tabs
+    and \\x1f between tokens, `#` comments (none in DIMACS), and a problem
+    found only at the end of each kind of file."""
+
+    @pytest.mark.parametrize(
+        "parser, text, expected",
+        [
+            ('game', '', "line 1, column 1: missing header 'mwg 1'"),
+            ('game', 'mwg 2\n', "line 1, column 1: expected header 'mwg 1'"),
+            ('game', 'mwg 1\n', "line 2, column 1: missing 'dimension <k>' line"),
+            ('game', 'mwg 1\ndimension\t0\n', 'line 2, column 11: dimension must be a positive integer'),
+            ('game', 'mwg 1\ndimension 1\nstate a\x1fowner=3 init\n', "line 3, column 9: malformed owner 'owner=3', expected owner=1 or owner=2"),
+            ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\nedge e a a w=(1,)\n', "line 4, column 12: malformed weight 'w=(1,)', expected w=(<int>,...)"),
+            ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\n  edge e a a # w=(1)\n', "line 4, column 3: expected 'edge <id> <src> <dst> w=(...)'"),
+            ('game', 'mwg 1\ndimension 1\nstate a owner=1\n', 'line 4, column 1: no initial state'),
+            ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\nstate b owner=2 initial\n', "line 4, column 17: unexpected token 'initial'"),
+            ('dimacs', 'p cnf 3 1\n1 2 3 0 # x\n', "line 2, column 9: malformed literal '#'"),
+            ('dimacs', 'c only\n', "line 2, column 1: missing 'p cnf' header"),
+            ('dimacs', 'p cnf 3 1\n1 2\t-4 0\n', 'line 2, column 5: variable 4 out of range 1..3'),
+            ('dimacs', 'p cnf 3 1\n1 2 3\n', 'line 2, column 5: unterminated clause (missing 0)'),
+            ('dimacs', 'p cnf 3 2\n1 2 3 0\n', 'line 1, column 1: header promises 2 clauses, found 1'),
+            ('dimacs', 'p cnf 3 1\n1 2 0\n', 'line 2, column 5: clause has 2 literals, expected 3'),
+            ('dimacs', '  1 2 3 0\np cnf 3 1\n', "line 1, column 3: clause before 'p cnf' header"),
+            ('dimacs', 'p cnf x 1\n', "line 1, column 7: malformed count 'x'"),
+            ('knapsack', 'item 1\x0b2\nbound 1\ntarget 1\n', "line 1, column 1: expected 'item <profit> <weight>'"),
+            ('knapsack', 'item 1 -1\n', "line 1, column 8: expected a nonnegative integer, got '-1'"),
+            ('knapsack', 'item 1 1\nbound 1\n', 'line 3, column 1: no target line'),
+            ('knapsack', 'item 1 1\nbound 1\nbound 2 # again\ntarget 1\n', 'line 3, column 1: duplicate bound line'),
+            ('cert', 'memory m0\ninitial m0\nupdate m0 a -> m1\n', "line 3, column 16: update line references undeclared memory 'm1'"),
+            ('cert', 'memory m0\ninitial m1\n', "line 2, column 9: initial line references undeclared memory 'm1'"),
+            ('cert', 'memory m0\ninitial m0\nnext m9 a -> e\n', "line 3, column 6: next line references undeclared memory 'm9'"),
+            ('cert', 'choose a e\ncredit (1)\n  memory m0\n', 'line 3, column 3: certificate mixes memoryless and finite-memory lines'),
+            ('cert', 'memory m0\ninitial m0\n\tchoose a e\n', 'line 3, column 2: certificate mixes memoryless and finite-memory lines'),
+            ('cert', 'memory m0\nnext m0 a -> e\n', 'line 1, column 1: machine certificate has no initial line'),
+            ('cert', 'initial m0\n', 'line 1, column 1: machine certificate has no memory lines'),
+            ('cert', 'choose a e\ncredit\t(1,)\n', "line 2, column 8: malformed credit '(1,)', expected (<int>,...)"),
+            ('cert', 'choose a e\nchoose  a f\n', "line 2, column 9: duplicate choose line for state 'a'"),
+            ('cert', 'update m0 a => m1\n', "line 1, column 1: expected 'update <m> <state> -> <target>'"),
+        ],
+    )
+    def test_error_text(self, parser, text, expected):
+        with pytest.raises(ParseError) as err:
+            PARSERS[parser](text)
+        assert str(err.value) == expected
+
+
+FUZZ_TOKENS = (
+    "mwg", "1", "2", "-1", "0", "dimension", "state", "edge", "owner=1", "owner=2", "init",
+    "w=(0)", "w=(1,-2)", "w=(1,)", "a", "b", "e", "p", "cnf", "c", "%", "item", "bound",
+    "target", "choose", "memory", "initial", "update", "next", "->", "credit", "(0)", "(1,2)",
+    "m0", "m1", "#",
+)
+SEPARATORS = (" ", "  ", "\t", "\x0b", "\x1f")
+
+
+@st.composite
+def fuzz_texts(draw):
+    """Lines of grammar and junk tokens, joined by assorted whitespace, some
+    after a game or DIMACS header."""
+    token = st.sampled_from(FUZZ_TOKENS) | st.text("ab01-,()=#>", min_size=1, max_size=4)
+    separator = st.sampled_from(SEPARATORS)
+    lines = []
+    for toks in draw(st.lists(st.lists(token, max_size=6), max_size=8)):
+        lead = draw(st.sampled_from(("",) + SEPARATORS))
+        lines.append(lead + "".join(t if i == 0 else draw(separator) + t for i, t in enumerate(toks)))
+    prefix = draw(st.sampled_from(("", "mwg 1\ndimension 1\n", "mwg 1\ndimension 2\nstate a owner=1 init\n", "p cnf 2 1\n")))
+    return prefix + "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def at_token_start(text, err):
+    """Whether err points at column 1 or at the first character of a token."""
+    if err.column == 1:
+        return True
+    line = text.splitlines()[err.line - 1]
+    c = err.column - 1
+    return c < len(line) and not line[c].isspace() and line[c - 1].isspace()
+
+
+@given(fuzz_texts())
+@settings(max_examples=300, deadline=None)
+def test_parsers_fuzz(text):
+    for name, parse in PARSERS.items():
+        try:
+            value = parse(text)
+        except ParseError as err:
+            assert at_token_start(text, err), (name, str(err))
+            continue
+        if name == "game":
+            assert games_equal(parse_game(write_game(value)), value)
+        elif name == "cert":
+            assert parse_certificate(write_certificate(*value), 1) == value
