@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from . import graphs, solvers
 from .errors import InvalidGameError, MwgError, ParseError
 from .formats import (
+    _INT,
     _vector_text,
     parse_certificate,
     parse_dimacs,
@@ -40,11 +41,10 @@ def _threshold_arg(text: str):
 
 
 def _credit_arg(text: str):
-    parts = text.split(",")
-    try:
-        return tuple([int(p.strip()) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"malformed credit {text!r}, expected comma-separated integers") from exc
+    parts = [p.strip() for p in text.split(",")]
+    if not all([_INT.match(p) for p in parts]):
+        raise argparse.ArgumentTypeError(f"malformed credit {text!r}, expected comma-separated integers")
+    return tuple([int(p) for p in parts])
 
 
 def _read(path: str) -> str:

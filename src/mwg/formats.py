@@ -43,8 +43,8 @@ from .model import Edge, GameStructure, MemorylessStrategy, MooreStrategy, State
 from .reductions import CnfFormula, KnapsackInstance
 
 _TOKEN = re.compile(r"\S+")  # the tokens of str.split(), with their positions
-_VECTOR = re.compile(r"\(-?\d+(?:,-?\d+)*\)")
-_INT = re.compile(r"^-?\d+$")
+_VECTOR = re.compile(r"\(-?[0-9]+(?:,-?[0-9]+)*\)")
+_INT = re.compile(r"^-?[0-9]+$")
 
 
 def _lines(text: str):
@@ -162,7 +162,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             for i in (2, 3):
                 if not _INT.match(toks[i]) or int(toks[i]) < 0:
                     _fail(lineno, line, i, f"malformed count {toks[i]!r}")
-            header = (int(toks[2]), int(toks[3]), lineno)
+            header = (int(toks[2]), int(toks[3]), lineno, line)
             continue
         if header is None:
             _fail(lineno, line, 0, "clause before 'p cnf' header")
@@ -172,7 +172,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         rows.append((lineno, line, [int(tok) for tok in toks]))
     if header is None:
         raise ParseError(text.count("\n") + 1, 1, "missing 'p cnf' header")
-    nvars, nclauses, header_line = header
+    nvars, nclauses, header_line, header_text = header
     clauses: list[tuple[int, int, int]] = []
     current: list[int] = []
     for lineno, line, values in rows:
@@ -190,7 +190,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         lineno, line, values = rows[-1]
         _fail(lineno, line, len(values) - 1, "unterminated clause (missing 0)")
     if len(clauses) != nclauses:
-        raise ParseError(header_line, 1, f"header promises {nclauses} clauses, found {len(clauses)}")
+        _fail(header_line, header_text, 0, f"header promises {nclauses} clauses, found {len(clauses)}")
     return CnfFormula(nvars, tuple(clauses))
 
 
@@ -317,7 +317,7 @@ def parse_threshold(text: str) -> tuple[Fraction, ...]:
     values, start = [], 1  # start: the 1-based column of part
     for part in text.split(","):
         tok = part.strip()
-        if not re.match(r"^-?\d+(/[1-9]\d*)?$", tok):
+        if not re.match(r"^-?[0-9]+(/[1-9][0-9]*)?$", tok):
             column = start + len(part) - len(part.lstrip())
             raise ParseError(1, column, f"malformed rational {tok!r}, expected a or a/b")
         values.append(Fraction(tok))

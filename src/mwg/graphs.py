@@ -9,9 +9,13 @@ conversely any balanced integer vector whose support is weakly connected
 is realized by some closed walk (Euler). Connectivity is not linear, so
 the search runs per strongly connected component and continues on the
 support of a maximal feasible point; see _search_circuit for the
-completeness argument. In nonnegative mode a Bellman-Ford sign test on
-simple cycles settles most components before any LP is built: it
-refutes a component with a dimension in which no simple cycle is
+completeness argument. In nonnegative mode two graph stages settle most
+components before any LP is built. An edge negative in a dimension where
+no edge of its component is positive is dropped: every circuit through
+it is negative there (the LP presolve rule for a column forced to 0).
+Then a sign test accepts a self-loop, or two self-loops at one vertex,
+nonnegative in every dimension, and runs Bellman-Ford on simple cycles:
+it refutes a component with a dimension in which no simple cycle is
 nonnegative, and accepts a simple cycle nonnegative in every dimension.
 """
 
@@ -293,21 +297,25 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     The records are split into strongly connected components first, and
     each component's forced chains are then contracted (_simplify); the
     components are searched one at a time, depth first on an explicit
-    stack. In nonnegative mode each component first gets the sign test
-    of _sign_test, which is exact: every circuit is a union of
-    simple cycles of its component, so a dimension without a nonnegative
-    simple cycle refutes the component, and a simple cycle nonnegative
-    in every dimension is itself a witness. Only a component that neither
-    settles reaches the LP. Any qualifying circuit C confined to a
-    component induces a feasible multiplicity vector, so LP infeasibility
-    is conclusive. If feasible, the support of a maximal feasible point
-    contains the support of every feasible point, C's included; either
-    that support spans the component (then it is strongly connected, so
-    a solution with every x_e >= 1 is realizable as a circuit; a vertex
-    of those is walked, as the midpoint's denominators can ask for a walk
-    of 10^12 edges), or searching the strictly smaller support subgraph
-    in its place keeps C intact. Termination: the edge set shrinks each
-    time.
+    stack. In nonnegative mode a component first drops each record that is
+    negative in a dimension where no record is positive, which is exact:
+    nothing adds back there, so every circuit through it is negative. A
+    component that loses records goes back on the stack, split and
+    contracted again; the record set shrinks, so this ends. Then it gets
+    the sign test of _sign_test, which is exact: every circuit is a union
+    of simple cycles of its component, so a dimension without a
+    nonnegative simple cycle refutes the component, and a closed walk
+    nonnegative in every dimension is itself a witness. Only a component
+    that neither settles reaches the LP. Any qualifying circuit C confined
+    to a component induces a feasible multiplicity vector, so LP
+    infeasibility is conclusive. If feasible, the support of a maximal
+    feasible point contains the support of every feasible point, C's
+    included; either that support spans the component (then it is
+    strongly connected, so a solution with every x_e >= 1 is realizable
+    as a circuit; a vertex of those is walked, as the midpoint's
+    denominators can ask for a walk of 10^12 edges), or searching the
+    strictly smaller support subgraph in its place keeps C intact.
+    Termination: the edge set shrinks each time.
     """
 
     # Components go on the stack last first, so it pops them in _rec_sccs
@@ -316,6 +324,11 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     while stack:
         comp = stack.pop()
         if mode == "nonnegative":
+            dims = [d for d, top in enumerate(map(max, zip(*[r[2] for r in comp]))) if top <= 0]
+            kept = [r for r in comp if all([r[2][d] == 0 for d in dims])]
+            if len(kept) < len(comp):
+                stack += _simplify(kept)[::-1] if kept else []
+                continue
             cycle = _sign_test(comp, dimension)
             if cycle is not None:
                 if not cycle:
@@ -347,19 +360,25 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
 
 def _sign_test(comp: list[_Rec], dimension: int) -> list[_Rec] | None:
     """Settle a strongly connected component without the LP where simple
-    cycles suffice: a simple cycle nonnegative in every dimension, in walk
-    order; [] if some dimension has no nonnegative simple cycle, so no
-    circuit of comp, a union of simple cycles, is nonnegative there; None
-    if neither is found.
+    cycles suffice: a simple cycle, or two loops at one vertex, nonnegative
+    in every dimension, in walk order; [] if some dimension has no
+    nonnegative simple cycle, so no circuit of comp, a union of simple
+    cycles, is nonnegative there; None if neither is found.
 
     Self-loops come first: one nonnegative in every dimension is a
-    witness, and a dimension where some loop is nonnegative cannot be
-    refuted, so only the other dimensions run Bellman-Ford. Every vertex
-    of comp is reachable from node 0, so its search sees every cycle."""
+    witness, and so are two at one vertex whose sum is, walked one after
+    the other (loops at two vertices need a path between them). A
+    dimension where some loop is nonnegative cannot be refuted, so only
+    the other dimensions run Bellman-Ford. Every vertex of comp is
+    reachable from node 0, so its search sees every cycle."""
     loops = [r for r in comp if r[0] == r[1]]
     for r in loops:
         if min(r[2]) >= 0:
             return [r]
+    for i, a in enumerate(loops):
+        for b in loops[i + 1 :]:
+            if a[0] == b[0] and min([x + y for x, y in zip(a[2], b[2])]) >= 0:
+                return [a, b]
     dims = [d for d in range(dimension) if all(r[2][d] < 0 for r in loops)]
     if not dims:
         return None

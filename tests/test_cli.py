@@ -315,6 +315,16 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "fixed-credit", FIG1, "--credit", "a,b", "--cap", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("credit", ["1_0,+2", "2,\u0661", "2,", " 2 , 1e0"])
+    def test_credit_components_are_ascii_integers(self, capsys, credit):
+        code, _, err = run(capsys, "oracle", "fixed-credit", FIG1, "--credit", credit, "--cap", "4")
+        assert code == 2
+        assert f"malformed credit {credit!r}, expected comma-separated integers" in err
+
+    def test_credit_components_may_be_padded(self, capsys):
+        code, out, _ = run(capsys, "oracle", "fixed-credit", FIG1, "--credit", " 2 , 1", "--cap", "4")
+        assert code == 0 and out == "YES\n"
+
     def test_missing_cap_usage_error(self, capsys):
         code, _, _ = run(capsys, "oracle", "fixed-credit", FIG1, "--credit", "2,1")
         assert code == 2

@@ -276,8 +276,9 @@ PARSERS = {
 
 class TestErrorPositions:
     """The exact error text, position included, of malformed inputs: tabs
-    and \\x1f between tokens, `#` comments (none in DIMACS), and a problem
-    found only at the end of each kind of file."""
+    and \\x1f between tokens, `#` comments (none in DIMACS), a problem
+    found only at the end of each kind of file, and digits outside ASCII,
+    which no integer of the formats takes."""
 
     @pytest.mark.parametrize(
         "parser, text, expected",
@@ -288,6 +289,8 @@ class TestErrorPositions:
             ('game', 'mwg 1\ndimension\t0\n', 'line 2, column 11: dimension must be a positive integer'),
             ('game', 'mwg 1\ndimension 1\nstate a\x1fowner=3 init\n', "line 3, column 9: malformed owner 'owner=3', expected owner=1 or owner=2"),
             ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\nedge e a a w=(1,)\n', "line 4, column 12: malformed weight 'w=(1,)', expected w=(<int>,...)"),
+            ('game', 'mwg 1\ndimension \u0661\n', 'line 2, column 11: dimension must be a positive integer'),
+            ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\nedge e a a w=(\u0663)\n', "line 4, column 12: malformed weight 'w=(\u0663)', expected w=(<int>,...)"),
             ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\n  edge e a a # w=(1)\n', "line 4, column 3: expected 'edge <id> <src> <dst> w=(...)'"),
             ('game', 'mwg 1\ndimension 1\nstate a owner=1\n', 'line 4, column 1: no initial state'),
             ('game', 'mwg 1\ndimension 1\nstate a owner=1 init\nstate b owner=2 initial\n', "line 4, column 17: unexpected token 'initial'"),
@@ -296,11 +299,15 @@ class TestErrorPositions:
             ('dimacs', 'p cnf 3 1\n1 2\t-4 0\n', 'line 2, column 5: variable 4 out of range 1..3'),
             ('dimacs', 'p cnf 3 1\n1 2 3\n', 'line 2, column 5: unterminated clause (missing 0)'),
             ('dimacs', 'p cnf 3 2\n1 2 3 0\n', 'line 1, column 1: header promises 2 clauses, found 1'),
+            ('dimacs', '  p cnf 3 2\n1 2 3 0\n', 'line 1, column 3: header promises 2 clauses, found 1'),
+            ('dimacs', 'p cnf 3 1\n1 2 \u0663 0\n', "line 2, column 5: malformed literal '\u0663'"),
+            ('dimacs', 'p cnf \u0663 1\n', "line 1, column 7: malformed count '\u0663'"),
             ('dimacs', 'p cnf 3 1\n1 2 0\n', 'line 2, column 5: clause has 2 literals, expected 3'),
             ('dimacs', '  1 2 3 0\np cnf 3 1\n', "line 1, column 3: clause before 'p cnf' header"),
             ('dimacs', 'p cnf x 1\n', "line 1, column 7: malformed count 'x'"),
             ('knapsack', 'item 1\x0b2\nbound 1\ntarget 1\n', "line 1, column 1: expected 'item <profit> <weight>'"),
             ('knapsack', 'item 1 -1\n', "line 1, column 8: expected a nonnegative integer, got '-1'"),
+            ('knapsack', 'item 1 \u0662\n', "line 1, column 8: expected a nonnegative integer, got '\u0662'"),
             ('knapsack', 'item 1 1\nbound 1\n', 'line 3, column 1: no target line'),
             ('knapsack', 'item 1 1\nbound 1\nbound 2 # again\ntarget 1\n', 'line 3, column 1: duplicate bound line'),
             ('cert', 'memory m0\ninitial m0\nupdate m0 a -> m1\n', "line 3, column 16: update line references undeclared memory 'm1'"),
@@ -313,11 +320,14 @@ class TestErrorPositions:
             ('cert', 'choose a e\ncredit\t(1,)\n', "line 2, column 8: malformed credit '(1,)', expected (<int>,...)"),
             ('cert', 'choose a e\nchoose  a f\n', "line 2, column 9: duplicate choose line for state 'a'"),
             ('cert', 'update m0 a => m1\n', "line 1, column 1: expected 'update <m> <state> -> <target>'"),
+            ('cert', 'choose a e\ncredit (\u0661)\n', "line 2, column 8: malformed credit '(\u0661)', expected (<int>,...)"),
+            ('threshold', '1,\u0661/2', "line 1, column 3: malformed rational '\u0661/2', expected a or a/b"),
+            ('threshold', '1/1\u0662', "line 1, column 1: malformed rational '1/1\u0662', expected a or a/b"),
         ],
     )
     def test_error_text(self, parser, text, expected):
         with pytest.raises(ParseError) as err:
-            PARSERS[parser](text)
+            dict(PARSERS, threshold=parse_threshold)[parser](text)
         assert str(err.value) == expected
 
 

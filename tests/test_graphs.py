@@ -21,6 +21,7 @@ from mwg import (
     reachable,
     solve_unknown_credit,
     validate_circuit,
+    verify_p2_spoiler,
     zero_circuit,
 )
 from mwg import graphs
@@ -30,11 +31,13 @@ from oracles import (
     enumerate_p2_memoryless,
     eulerian_circuit_from_circulation,
     has_negative_simple_cycle,
+    rand_cnf,
     rand_decoy,
     rand_game,
     rand_multigraph,
     reachable_part,
     simple_cycles,
+    truth_table_satisfiable,
     with_unit_drain_loops,
 )
 
@@ -587,12 +590,106 @@ class TestSignTest:
 
     def test_loop_components_run_no_bellman_ford(self, monkeypatch, unsat8):
         # The 3SAT encoding's fixed graphs end in one-vertex components of
-        # loops that leave every dimension some nonnegative loop and none
-        # nonnegative in all: only the LP can settle them.
+        # loops e_l - e_-l, one per clause. Pruning drops every loop whose
+        # clash partner is absent, and a surviving loop pairs with its
+        # partner into a walk of weight 0: neither Bellman-Ford nor the LP
+        # runs.
         calls = count_calls(monkeypatch, "_positive_cycle")
         lps = count_calls(monkeypatch, "lp_feasible")
         assert solve_unknown_credit(encode_3sat_two_player(unsat8)).answer
-        assert calls == [] and len(lps) > 0
+        assert calls == [] and lps == []
+
+    def test_clashing_loops_are_a_pair_witness(self, monkeypatch):
+        calls = count_calls(monkeypatch, "lp_feasible")
+        assert nonnegative_circuit(loops((1, -1), (-1, 1)), "s").edges == ("e1", "e2")
+        assert calls == []
+
+    def test_no_nonnegative_pair_goes_to_the_lp(self, monkeypatch):
+        # Every pair sums to a permutation of (1, 1, -2); only the three
+        # loops together weigh 0, and the LP finds them.
+        g = loops((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+        (comp,) = components(g)
+        assert graphs._sign_test(comp, 3) is None
+        calls = count_calls(monkeypatch, "lp_feasible")
+        assert nonnegative_circuit(g, "s").multiplicity == {"e1": 1, "e2": 1, "e3": 1}
+        assert len(calls) == 1
+
+    def test_loops_at_different_vertices_are_not_a_pair(self):
+        # aa + bb weighs 0, but a walk through both loops takes ab and ba,
+        # which sum to -2 in both dimensions: there is no nonnegative
+        # circuit.
+        g = MultiGraph(
+            2,
+            ("a", "b"),
+            (
+                GraphEdge("aa", "a", "a", (1, -1)),
+                GraphEdge("bb", "b", "b", (-1, 1)),
+                GraphEdge("ab", "a", "b", (-1, -1)),
+                GraphEdge("ba", "b", "a", (-1, -1)),
+            ),
+            "a",
+        )
+        (comp,) = components(g)
+        assert graphs._sign_test(comp, 2) is None
+        assert nonnegative_circuit(g, "a") is None
+
+
+def pruned(comp: list, dimension: int) -> list:
+    """The records of comp that are negative in a dimension where no
+    record of comp is positive."""
+    dims = [d for d in range(dimension) if all(r[2][d] <= 0 for r in comp)]
+    return [r for r in comp if any(r[2][d] < 0 for d in dims)]
+
+
+class TestPrune:
+    def test_pruned_records_are_in_no_nonnegative_circuit(self):
+        # Each dropped record x_r is 0 in every feasible point of its
+        # component's circulation LP: adding x_r >= 1 makes it infeasible.
+        comps = hits = 0
+        for g in sign_test_corpus(41, 150):
+            for comp in components(g):
+                comps += 1
+                dropped = pruned(comp, g.dimension)
+                hits += bool(dropped)
+                sys_, names = graphs._circulation_system(comp, g.dimension, "nonnegative")
+                rows = [(c.coeffs, c.relation, c.rhs) for c in sys_.constraints]
+                for r in dropped:
+                    unit = [int(x == r) for x in comp]
+                    out = graphs.lp_feasible(graphs.system(names, rows + [(unit, ">=", 1)]))
+                    assert out.status == "infeasible"
+        assert hits > comps / 20, (hits, comps)
+
+    def test_pruning_settles_a_component_without_the_lp(self, monkeypatch):
+        # Dimension 2 has no positive record, so ab and ba, negative there,
+        # are dropped; what is left is the loop aa, negative in dimension 1.
+        g = MultiGraph(
+            2,
+            ("a", "b"),
+            (
+                GraphEdge("aa", "a", "a", (-1, 0)),
+                GraphEdge("ab", "a", "b", (2, -1)),
+                GraphEdge("ba", "b", "a", (2, 0)),
+                GraphEdge("bb", "b", "b", (-1, 0)),
+            ),
+            "a",
+        )
+        assert [r[3] for r in pruned(components(g)[0], 2)] == [("ab",)]
+        calls = count_calls(monkeypatch, "lp_feasible")
+        bf = count_calls(monkeypatch, "_positive_cycle")
+        assert nonnegative_circuit(g, "a") is None
+        assert calls == [] and bf == []
+
+    def test_3sat_encodings_reach_no_lp(self, monkeypatch, unsat8, clause1):
+        rng = random.Random(43)
+        formulas = [unsat8, clause1] + [rand_cnf(rng, max_vars=5, max_clauses=9) for _ in range(40)]
+        calls = count_calls(monkeypatch, "lp_feasible")
+        for f in formulas:
+            g = encode_3sat_two_player(f)
+            v = solve_unknown_credit(g)
+            assert v.answer == (truth_table_satisfiable(f) is None)
+            if not v.answer:
+                assert verify_p2_spoiler(g, v.spoiler)
+        assert calls == []
 
 
 def count_calls(monkeypatch, name: str) -> list:
