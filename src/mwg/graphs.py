@@ -9,21 +9,18 @@ conversely any balanced integer vector whose support is weakly connected
 is realized by some closed walk (Euler). Connectivity is not linear, so
 the search runs per strongly connected component and continues on the
 support of a maximal feasible point; see _search_circuit for the
-completeness argument. In nonnegative mode two graph stages settle most
-components before any LP is built. An edge negative in a dimension where
-no edge of its component is positive is dropped: every circuit through
-it is negative there (the LP presolve rule for a column forced to 0).
-Then a sign test accepts a self-loop, or two self-loops at one vertex,
-nonnegative in every dimension, and runs Bellman-Ford on simple cycles:
-it refutes a component with a dimension in which no simple cycle is
-nonnegative, and accepts a simple cycle nonnegative in every dimension.
+completeness argument. In nonnegative mode _prune drops loops that no
+nonnegative circuit uses (the LP presolve rule for a column forced to
+0), and a sign test accepts a loop, or two at a vertex, nonnegative in
+every dimension, or refutes a component with a dimension in which
+Bellman-Ford finds no nonnegative simple cycle, before any LP is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import combinations, count
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, WalkError
@@ -297,13 +294,9 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     The records are split into strongly connected components first, and
     each component's forced chains are then contracted (_simplify); the
     components are searched one at a time, depth first on an explicit
-    stack. In nonnegative mode a component first drops each record that is
-    negative in a dimension where no record is positive, which is exact:
-    nothing adds back there, so every circuit through it is negative. A
-    component that loses records goes back on the stack, split and
-    contracted again; the record set shrinks, so this ends. Then it gets
-    the sign test of _sign_test, which is exact: every circuit is a union
-    of simple cycles of its component, so a dimension without a
+    stack. In nonnegative mode each component is first pruned (_prune),
+    then gets the sign test of _sign_test, which is exact: every circuit
+    is a union of simple cycles of its component, so a dimension without a
     nonnegative simple cycle refutes the component, and a closed walk
     nonnegative in every dimension is itself a witness. Only a component
     that neither settles reaches the LP. Any qualifying circuit C confined
@@ -324,12 +317,8 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     while stack:
         comp = stack.pop()
         if mode == "nonnegative":
-            dims = [d for d, top in enumerate(map(max, zip(*[r[2] for r in comp]))) if top <= 0]
-            kept = [r for r in comp if all([r[2][d] == 0 for d in dims])]
-            if len(kept) < len(comp):
-                stack += _simplify(kept)[::-1] if kept else []
-                continue
-            cycle = _sign_test(comp, dimension)
+            comp = _prune(comp)
+            cycle = _sign_test(comp, dimension) if comp else []
             if cycle is not None:
                 if not cycle:
                     continue
@@ -358,27 +347,39 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
     return None
 
 
+def _prune(comp: list[_Rec]) -> list[_Rec]:
+    """A one-vertex comp less its loops negative where no loop is positive,
+    until none is: every circuit through one is negative there. Larger
+    components come back whole (their kept records would need _simplify)."""
+    while len({r[0] for r in comp}) == 1:
+        dims = [d for d, top in enumerate(map(max, zip(*[r[2] for r in comp]))) if top <= 0]
+        kept = [r for r in comp if all([r[2][d] == 0 for d in dims])]
+        if len(kept) == len(comp):
+            break
+        comp = kept
+    return comp
+
+
 def _sign_test(comp: list[_Rec], dimension: int) -> list[_Rec] | None:
     """Settle a strongly connected component without the LP where simple
-    cycles suffice: a simple cycle, or two loops at one vertex, nonnegative
-    in every dimension, in walk order; [] if some dimension has no
-    nonnegative simple cycle, so no circuit of comp, a union of simple
-    cycles, is nonnegative there; None if neither is found.
+    cycles suffice: a simple cycle, or two loops at a vertex, nonnegative in
+    every dimension, in walk order; [] if some dimension has no nonnegative
+    simple cycle, so no circuit of comp, a union of simple cycles, is
+    nonnegative there; None if neither is found.
 
     Self-loops come first: one nonnegative in every dimension is a
-    witness, and so are two at one vertex whose sum is, walked one after
-    the other (loops at two vertices need a path between them). A
-    dimension where some loop is nonnegative cannot be refuted, so only
-    the other dimensions run Bellman-Ford. Every vertex of comp is
-    reachable from node 0, so its search sees every cycle."""
+    witness, and so are two at one vertex whose sum is (at two vertices
+    they need a path between them). A dimension where some loop is
+    nonnegative cannot be refuted, so only the other dimensions run
+    Bellman-Ford. Every vertex of comp is reachable from node 0, so its
+    search sees every cycle."""
     loops = [r for r in comp if r[0] == r[1]]
     for r in loops:
         if min(r[2]) >= 0:
             return [r]
-    for i, a in enumerate(loops):
-        for b in loops[i + 1 :]:
-            if a[0] == b[0] and min([x + y for x, y in zip(a[2], b[2])]) >= 0:
-                return [a, b]
+    for a, b in combinations(loops, 2):
+        if a[0] == b[0] and min([x + y for x, y in zip(a[2], b[2])]) >= 0:
+            return [a, b]
     dims = [d for d in range(dimension) if all(r[2][d] < 0 for r in loops)]
     if not dims:
         return None

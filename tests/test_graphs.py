@@ -634,22 +634,17 @@ class TestSignTest:
         assert nonnegative_circuit(g, "a") is None
 
 
-def pruned(comp: list, dimension: int) -> list:
-    """The records of comp that are negative in a dimension where no
-    record of comp is positive."""
-    dims = [d for d in range(dimension) if all(r[2][d] <= 0 for r in comp)]
-    return [r for r in comp if any(r[2][d] < 0 for d in dims)]
-
-
 class TestPrune:
     def test_pruned_records_are_in_no_nonnegative_circuit(self):
-        # Each dropped record x_r is 0 in every feasible point of its
-        # component's circulation LP: adding x_r >= 1 makes it infeasible.
+        # Each record _prune drops has x_r = 0 in every feasible point of
+        # its component's circulation LP: adding x_r >= 1 makes it
+        # infeasible.
         comps = hits = 0
         for g in sign_test_corpus(41, 150):
             for comp in components(g):
                 comps += 1
-                dropped = pruned(comp, g.dimension)
+                kept = graphs._prune(comp)
+                dropped = [r for r in comp if r not in kept]
                 hits += bool(dropped)
                 sys_, names = graphs._circulation_system(comp, g.dimension, "nonnegative")
                 rows = [(c.coeffs, c.relation, c.rhs) for c in sys_.constraints]
@@ -660,8 +655,22 @@ class TestPrune:
         assert hits > comps / 20, (hits, comps)
 
     def test_pruning_settles_a_component_without_the_lp(self, monkeypatch):
-        # Dimension 2 has no positive record, so ab and ba, negative there,
-        # are dropped; what is left is the loop aa, negative in dimension 1.
+        # No loop is positive in dimension 2, so e1 goes; then none is
+        # positive in dimension 1, so e2 goes too. Neither the sign test
+        # alone (no pair is nonnegative, and each dimension has a loop
+        # that is) nor Bellman-Ford nor the LP is needed.
+        g = loops((1, -1), (-2, 0))
+        (comp,) = components(g)
+        assert graphs._sign_test(comp, 2) is None
+        assert graphs._prune(comp) == []
+        calls = count_calls(monkeypatch, "lp_feasible")
+        bf = count_calls(monkeypatch, "_positive_cycle")
+        assert nonnegative_circuit(g, "s") is None
+        assert calls == [] and bf == []
+
+    def test_larger_components_come_back_whole(self):
+        # ab is negative in dimension 2, where no edge is positive, but the
+        # rule is applied at one vertex only.
         g = MultiGraph(
             2,
             ("a", "b"),
@@ -673,11 +682,9 @@ class TestPrune:
             ),
             "a",
         )
-        assert [r[3] for r in pruned(components(g)[0], 2)] == [("ab",)]
-        calls = count_calls(monkeypatch, "lp_feasible")
-        bf = count_calls(monkeypatch, "_positive_cycle")
+        (comp,) = components(g)
+        assert graphs._prune(comp) == comp
         assert nonnegative_circuit(g, "a") is None
-        assert calls == [] and bf == []
 
     def test_3sat_encodings_reach_no_lp(self, monkeypatch, unsat8, clause1):
         rng = random.Random(43)
