@@ -53,6 +53,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_game(path: str) -> GameStructure:

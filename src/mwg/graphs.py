@@ -275,7 +275,6 @@ def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
 
 def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     vertices = sorted({r[0] for r in recs} | {r[1] for r in recs}, key=repr)
-    names = [f"x{i}" for i in range(len(recs))]
     balance = {v: [0] * len(recs) for v in vertices}
     for i, (src, dst, _, _) in enumerate(recs):
         balance[dst][i] += 1
@@ -285,7 +284,7 @@ def _circulation_system(recs: list[_Rec], dimension: int, mode: str):
     for d in range(dimension):
         rows.append(([r[2][d] for r in recs], relation, 0))
     rows.append(([1] * len(recs), ">=", 1))
-    return system(names, rows), names
+    return system(len(recs), rows)
 
 
 def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
@@ -323,26 +322,25 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
                 if not cycle:
                     continue
                 return [eid for r in cycle for eid in r[3]]
-        sys_, names = _circulation_system(comp, dimension, mode)
-        out = lp_feasible(sys_)
-        if out.status != "feasible":
+        sys_ = _circulation_system(comp, dimension, mode)
+        point = lp_feasible(sys_)
+        if point is None:
             continue
-        counts = integer_scale(out.assignment)
+        counts = integer_scale(point)
         # A circulation's support is a union of cycles: connected iff it is
         # one strongly connected component.
-        if len(_rec_sccs([r for r, x in zip(comp, names) if counts[x] > 0])) > 1:
-            out, support = max_support_solution(sys_, out)
-            if len(support) < len(comp):
-                stack += _simplify([r for r, x in zip(comp, names) if x in support])[::-1]
+        if len(_rec_sccs([r for r, x in zip(comp, counts) if x > 0])) > 1:
+            point = max_support_solution(sys_, point)
+            if 0 in point:
+                stack += _simplify([r for r, x in zip(comp, point) if x > 0])[::-1]
                 continue
             # x_e >= 1 on every edge; _presolve absorbs these rows as bounds.
-            rows = [(c.coeffs, c.relation, c.rhs) for c in sys_.constraints]
-            rows += [([int(i == j) for j in range(len(names))], ">=", 1) for i in range(len(names))]
-            out = lp_feasible(system(names, rows))
-            if out.status != "feasible":
+            units = [([int(i == j) for j in sys_.variables], ">=", 1) for i in sys_.variables]
+            point = lp_feasible(system(len(comp), [*sys_.constraints, *units]))
+            if point is None:
                 raise AssertionError("no circulation uses every edge of a spanning support")
-            counts = integer_scale(out.assignment)
-        walk = _euler_walk(comp, [counts[x] for x in names])
+            counts = integer_scale(point)
+        walk = _euler_walk(comp, counts)
         return [eid for i in walk for eid in comp[i][3]]
     return None
 

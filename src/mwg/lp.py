@@ -3,58 +3,47 @@
 A small dictionary-form simplex with Bland's pivoting rule. Every
 variable is nonnegative and every row is integer, which is what the
 circulation systems of the circuit-detection code are: edge
-multiplicities under integer balance and weight rows. The tableau is
-pivoted fraction-free (all divisions exact), so feasibility answers
+multiplicities under integer balance and weight rows. Variables are
+positions 0..n-1: a row lists one coefficient per position, and a
+feasible point is a list of `Fraction`s in the same order. The tableau
+is pivoted fraction-free (all divisions exact), so feasibility answers
 carry no floating-point tolerance at all. `Fraction` appears only where
 a value really is rational: positive lower bounds and the extracted
-assignment. Sized for those systems: tens of variables, not thousands.
+point. Sized for those systems: tens of variables, not thousands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LpError
 
 _RELATIONS = ("=", ">=")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """coeffs . x (relation) rhs, with integer entries."""
 
-    coeffs: tuple[int, ...]
+    coeffs: Sequence[int]
     relation: str  # "=" or ">="
     rhs: int
 
 
-@dataclass(frozen=True)
-class LinearConstraintSystem:
-    """Constraints over the named variables, each of them >= 0."""
+class LinearConstraintSystem(NamedTuple):
+    """Constraints over the variables range(n), each of them >= 0."""
 
-    variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-
-
-def system(variables: Iterable[str], rows: Iterable[tuple]) -> LinearConstraintSystem:
-    """Build a system from (coeffs, relation, rhs) triples."""
-    return LinearConstraintSystem(
-        tuple(variables), tuple([Constraint(tuple(c), rel, r) for c, rel, r in rows])
-    )
+    variables: range
+    constraints: list[Constraint]
 
 
-@dataclass
-class LpOutcome:
-    status: str  # "feasible" | "infeasible"
-    assignment: dict[str, Fraction] | None = None
+def system(n: int, rows: Iterable[tuple]) -> LinearConstraintSystem:
+    """Build a system over n variables from (coeffs, relation, rhs) triples."""
+    return LinearConstraintSystem(range(n), [Constraint(*row) for row in rows])
 
 
 def _validate(sys_: LinearConstraintSystem) -> None:
-    if len(set(sys_.variables)) != len(sys_.variables):
-        raise LpError("duplicate variable names")
     for c in sys_.constraints:
         if c.relation not in _RELATIONS:
             raise LpError(f"unknown relation {c.relation!r}")
@@ -79,19 +68,18 @@ class _Simplex:
     """
 
     def __init__(self, sys_: LinearConstraintSystem):
-        self.sys = sys_
         self.n = len(sys_.variables)
         self.infeasible_early = False
-        self._presolve()
+        self._presolve(sys_.constraints)
 
     # -- setup -------------------------------------------------------------
 
-    def _presolve(self) -> None:
+    def _presolve(self, constraints: list[Constraint]) -> None:
         # Absorb single-variable lower-bound rows (a*x >= r, a > 0) into a
         # bound, which costs no tableau row.
         self.lower: list[Fraction] = [Fraction(0)] * self.n
-        kept: list[tuple[Sequence[int], str, int]] = []
-        for c in self.sys.constraints:
+        kept: list[Constraint] = []
+        for c in constraints:
             nz = [j for j, a in enumerate(c.coeffs) if a]
             if not nz:
                 bad_eq = c.relation == "=" and c.rhs != 0
@@ -103,7 +91,7 @@ class _Simplex:
                 j = nz[0]
                 self.lower[j] = max(self.lower[j], Fraction(c.rhs, c.coeffs[j]))
                 continue
-            kept.append((c.coeffs, c.relation, c.rhs))
+            kept.append(c)
         self.rows = kept
 
     def _build(self) -> None:
@@ -197,7 +185,7 @@ class _Simplex:
 
     # -- extraction ----------------------------------------------------------
 
-    def _assignment(self) -> dict[str, Fraction]:
+    def _point(self) -> list[Fraction]:
         values = list(self.lower)
         for i, q in enumerate(self.basis):
             if q >= self.n:
@@ -205,28 +193,29 @@ class _Simplex:
             # Rows never pivoted keep their original scaling, so divide by
             # the basic coefficient rather than by D.
             values[q] += Fraction(self.T[i][-1], self.T[i][q])
-        return {v: values[j] for j, v in enumerate(self.sys.variables)}
+        return values
 
-    def solve(self) -> LpOutcome:
+    def solve(self) -> list[Fraction] | None:
         if self.infeasible_early:
-            return LpOutcome("infeasible")
+            return None
         self._build()
         self._run()
         if self.z[-1] != 0:  # -(artificial sum) < 0
-            return LpOutcome("infeasible")
-        return LpOutcome("feasible", self._assignment())
+            return None
+        return self._point()
 
 
-def lp_feasible(sys_: LinearConstraintSystem) -> LpOutcome:
-    """Decide feasibility; on success the outcome carries an exact point."""
+def lp_feasible(sys_: LinearConstraintSystem) -> list[Fraction] | None:
+    """An exact feasible point, one value per variable, or None."""
     _validate(sys_)
     return _Simplex(sys_).solve()
 
 
 def max_support_solution(
-    sys_: LinearConstraintSystem, out: LpOutcome
-) -> tuple[LpOutcome, frozenset[str]]:
-    """Feasible point whose support is the union of supports of all feasible points.
+    sys_: LinearConstraintSystem, point: list[Fraction] | None
+) -> list[Fraction] | None:
+    """Feasible point whose support (its nonzero positions) is the union
+    of supports of all feasible points.
 
     Precondition: all constraints except at most one lower bound on the
     total sum are homogeneous (true for the circulation systems this
@@ -235,29 +224,23 @@ def max_support_solution(
     support) >= 1 is feasible exactly when some feasible point leaves
     that support. While it is, the midpoint of the current point and the
     new one is feasible (the feasible set is convex) and positive on both
-    supports, so the support grows; at most one solve per variable. `out`
-    is the outcome of `lp_feasible(sys_)`, which the caller already holds.
+    supports, so the support grows; at most one solve per variable.
+    `point` is `lp_feasible(sys_)`, which the caller already holds; None
+    (infeasible) comes back as it is.
     """
-    if out.status != "feasible":
-        return LpOutcome("infeasible"), frozenset()
-    point = out.assignment
-    while True:
-        outside = tuple([int(point[v] == 0) for v in sys_.variables])
-        if not any(outside):
+    while point is not None and 0 in point:
+        outside = Constraint([int(x == 0) for x in point], ">=", 1)
+        wider = lp_feasible(LinearConstraintSystem(sys_.variables, [*sys_.constraints, outside]))
+        if wider is None:
             break
-        wider = Constraint(outside, ">=", 1)
-        out = lp_feasible(LinearConstraintSystem(sys_.variables, (*sys_.constraints, wider)))
-        if out.status != "feasible":
-            break
-        point = {v: (x + out.assignment[v]) / 2 for v, x in point.items()}
-    return LpOutcome("feasible", point), frozenset([v for v, x in point.items() if x > 0])
+        point = [(x + y) / 2 for x, y in zip(point, wider)]
+    return point
 
 
-def integer_scale(assignment: Mapping[str, Fraction]) -> dict[str, int]:
+def integer_scale(point: Sequence[Fraction]) -> list[int]:
     """Scale a nonnegative rational point by the lcm of its denominators."""
-    values = {v: Fraction(x) for v, x in assignment.items()}
-    for v, x in values.items():
+    for j, x in enumerate(point):
         if x < 0:
-            raise LpError(f"integer_scale expects nonnegative values, {v} = {x}")
-    factor = lcm(1, *[x.denominator for x in values.values()])
-    return {v: int(x * factor) for v, x in values.items()}
+            raise LpError(f"integer_scale expects nonnegative values, x{j} = {x}")
+    factor = lcm(1, *[x.denominator for x in point])
+    return [int(x * factor) for x in point]

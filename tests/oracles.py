@@ -92,10 +92,12 @@ def games_equal(a: GameStructure, b: GameStructure) -> bool:
     )
 
 
-def satisfies(sys_, assignment) -> bool:
-    """Exact check that an assignment meets every constraint of a linear
-    system."""
-    values = [Fraction(assignment[v]) for v in sys_.variables]
+def satisfies(sys_, point) -> bool:
+    """Exact check that a point, one value per variable in order, meets
+    every constraint of a linear system."""
+    if len(point) != len(sys_.variables):
+        return False
+    values = [Fraction(point[v]) for v in sys_.variables]
     for c in sys_.constraints:
         lhs = sum((a * x for a, x in zip(c.coeffs, values)), Fraction(0))
         if c.relation == "=" and lhs != c.rhs:

@@ -6,6 +6,7 @@ benchmark run."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from mwg import solvers
+from mwg import graphs, solvers
+from mwg.graphs import GraphEdge, MultiGraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -52,6 +54,37 @@ def test_package_names_the_benchmark_uses_resolve():
                 assert hasattr(module, node.attr), f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
     # The output checks expand each YES verdict's cover through this property.
     assert isinstance(solvers.Verdict.witnesses, property)
+
+
+def test_lp_size_sizes_every_system_the_circuit_search_solves(monkeypatch):
+    # A traced run keeps every system passed to the LP and sizes it with
+    # `spans.lp_size` after the run (`lp.vars.mean`, `lp.rows.mean`,
+    # `lp.coeff_bits.max`). spans.py imports only the standard library, so
+    # it loads here by path. This graph takes the circuit search into both
+    # later LP steps: a max-support point short of its component, whose
+    # support is searched again, and one spanning it, which is then solved
+    # with every x_e >= 1.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    calls = []
+    for name in ("lp_feasible", "max_support_solution"):
+        def traced(sys_, *rest, name=name, real=getattr(graphs, name)):
+            size = spans.lp_size(sys_)
+            result = real(sys_, *rest)
+            calls.append((name, sys_, size, result))
+            return result
+        monkeypatch.setattr(graphs, name, traced)
+    weights = [("v0", "v0", (2, -2, -1)), ("v0", "v1", (-1, 1, 0)), ("v1", "v1", (-1, 1, 1)),
+               ("v0", "v0", (-1, 1, -1)), ("v0", "v1", (0, -1, 2)), ("v1", "v0", (1, -1, -1))]
+    edges = [GraphEdge(f"e{i}", src, dst, w) for i, (src, dst, w) in enumerate(weights)]
+    assert graphs.nonnegative_circuit(MultiGraph(3, ("v0", "v1"), tuple(edges), "v0"), "v0") is not None
+    widened = [point for name, _, _, point in calls if name == "max_support_solution"]
+    assert any(0 in point for point in widened) and any(0 not in point for point in widened)
+    for _, sys_, size, _ in calls:
+        n, rows, bits = size
+        assert n == len(sys_.variables) > 0 and rows == len(sys_.constraints) > 0 and bits > 0
+        assert spans.lp_size(sys_) == size  # sized after the run, as a traced run does
 
 
 @pytest.mark.slow

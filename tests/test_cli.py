@@ -63,6 +63,13 @@ class TestSolve:
         assert out == ""
         assert "missing.mwg" in err
 
+    def test_undecodable_game_names_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.mwg"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "solve", "energy", str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
     def test_parse_error_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.mwg"
         bad.write_text("mwg 2\n")
@@ -144,6 +151,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "p1", KNAP2_GAME, str(cert))
         assert code == 0
         assert out.splitlines() == ([verdict, "credit (0,2)"] if verdict == "YES" else [verdict])
+
+    def test_undecodable_certificate_names_the_file(self, capsys, tmp_path):
+        cert = tmp_path / "bad.cert"
+        cert.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", "p2", FIG1, str(cert))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {cert}: 'utf-8' codec can't decode byte 0xff")
 
     def test_p1_declared_credit_of_another_dimension_exits_3(self, capsys, tmp_path):
         cert = tmp_path / "alt.cert"
