@@ -30,7 +30,7 @@ from .reductions import encode_3sat_memoryless, encode_3sat_two_player, encode_k
 
 
 class _InputError(Exception):
-    """File-level problem: unreadable input, parse error, invalid game."""
+    """File-level problem: unreadable input or parse error."""
 
 
 def _threshold_arg(text: str):
@@ -70,7 +70,7 @@ def _load_game(path: str) -> GameStructure:
     g = _parse_game(path)
     violations = validate_game(g)
     if violations:
-        raise _InputError(f"{path}: {InvalidGameError(violations)}")
+        raise InvalidGameError(violations)
     return g
 
 
@@ -81,17 +81,14 @@ def _emit(verdict: bool, payload: str = "") -> int:
 
 def _cmd_solve(args) -> int:
     g = _parse_game(args.game)
-    try:
-        if args.variant == "energy":
-            v = solvers.solve_unknown_credit(g)
-        elif args.variant == "mp":
-            v = solvers.solve_meanpayoff_threshold(g, args.threshold)
-        elif args.variant == "memoryless-energy":
-            v = solvers.solve_memoryless_p1_energy(g)
-        else:
-            v = solvers.solve_memoryless_p1_meanpayoff(g, args.threshold)
-    except InvalidGameError as exc:
-        raise _InputError(f"{args.game}: {exc}") from exc
+    if args.variant == "energy":
+        v = solvers.solve_unknown_credit(g)
+    elif args.variant == "mp":
+        v = solvers.solve_meanpayoff_threshold(g, args.threshold)
+    elif args.variant == "memoryless-energy":
+        v = solvers.solve_memoryless_p1_energy(g)
+    else:
+        v = solvers.solve_memoryless_p1_meanpayoff(g, args.threshold)
     if args.variant.startswith("memoryless"):
         return _emit(v.answer, write_certificate(v.strategy, v.credit) if v.answer else "")
     if v.answer:
@@ -145,12 +142,7 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _parse_game(args.game)
-    try:
-        answer = solvers.clamped_fixed_credit_oracle(g, args.credit, args.cap)
-    except InvalidGameError as exc:
-        raise _InputError(f"{args.game}: {exc}") from exc
-    return _emit(answer)
+    return _emit(solvers.clamped_fixed_credit_oracle(_parse_game(args.game), args.credit, args.cap))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,6 +191,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
+    except InvalidGameError as exc:
+        sys.stderr.write(f"error: {args.game}: {exc}\n")
+        return 3
     except (_InputError, MwgError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

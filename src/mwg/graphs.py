@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, count
+from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, WalkError
@@ -93,52 +93,7 @@ def circuit_weight(g: MultiGraph, c: Circuit) -> tuple[int, ...]:
     return tuple(total)
 
 
-# -- strongly connected components ------------------------------------------
-
-
-def _tarjan(vertices: Sequence[Vertex], succ: Mapping[Vertex, list[Vertex]]) -> list[list[Vertex]]:
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    on_stack: set[Vertex] = set()
-    stack: list[Vertex] = []
-    out: list[list[Vertex]] = []
-    counter = count()
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ.get(root, ())))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
+# -- reachability ------------------------------------------------------------
 
 
 def reachable(source: Vertex, succ: Callable[[Vertex], Iterable[tuple[object, Vertex]]]) -> dict:
@@ -172,10 +127,12 @@ def _reached(g: MultiGraph, source: Vertex) -> dict:
 #
 # Internal edges are records (src, dst, weight, expansion) where expansion
 # is the tuple of original edge ids the record stands for. The search
-# splits the records into strongly connected components first, as every
-# circuit lies inside one, then contracts each component's forced chains
-# with _follow. Circuits of the contracted components correspond exactly
-# to circuits of the original, so witnesses expand back losslessly.
+# splits the records into strongly connected components first (_rec_sccs,
+# Kosaraju's two passes, the second by `reachable`), as every circuit lies
+# inside one, then contracts each component's forced chains with _follow.
+# Circuits of the contracted components correspond exactly to circuits of
+# the original, so witnesses expand back losslessly. A circulation the LP
+# finds is walked by _euler_walk.
 
 _Rec = tuple[Vertex, Vertex, tuple[int, ...], tuple]
 
@@ -218,56 +175,69 @@ def _simplify(recs: list[_Rec]) -> list[list[_Rec]]:
 
 
 def _rec_sccs(recs: list[_Rec]) -> list[list[int]]:
-    """Indices of recs grouped by SCC (internal edges only), ordered by
-    each SCC's least vertex under repr."""
-    vertices = sorted({r[0] for r in recs} | {r[1] for r in recs}, key=repr)
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    for src, dst, _, _ in recs:
-        succ[src].append(dst)
-    rank = {v: i for i, v in enumerate(vertices)}
-    comp_of: dict[Vertex, int] = {}
-    for comp in _tarjan(vertices, succ):
-        comp_of.update(dict.fromkeys(comp, min([rank[v] for v in comp])))
-    grouped: dict[int, list[int]] = {}
+    """Indices of recs grouped by strongly connected component, each group
+    in index order, the groups ordered by their component's least vertex
+    under repr; a record joining two components is in none. Kosaraju: a
+    depth-first pass lists the vertices by finish time, then, latest
+    finished first, each vertex not yet placed takes what reaches it over
+    the records, less the vertices placed before, as its component."""
+    succ: dict[Vertex, list[Vertex]] = {}
+    pred: dict[Vertex, list[tuple[int, Vertex]]] = {}
     for i, (src, dst, _, _) in enumerate(recs):
-        if comp_of[src] == comp_of[dst]:
-            grouped.setdefault(comp_of[src], []).append(i)
-    return [grouped[ci] for ci in sorted(grouped)]
+        succ.setdefault(src, []).append(dst)
+        pred.setdefault(dst, []).append((i, src))
+    finished: list[Vertex] = []
+    seen: set = set()
+    for root in succ:
+        if root in seen:
+            continue
+        seen.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            for w in work[-1][1]:
+                if w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+            else:
+                finished.append(work.pop()[0])
+    label: dict[Vertex, Vertex] = {}
+    for v in reversed(finished):
+        if v not in label:
+            comp = reachable(v, lambda u: [p for p in pred.get(u, ()) if p[1] not in label])
+            label.update(dict.fromkeys(comp, min(comp, key=repr)))
+    grouped: dict[Vertex, list[int]] = {}
+    for i, (src, dst, _, _) in enumerate(recs):
+        if label[src] == label[dst]:
+            grouped.setdefault(label[src], []).append(i)
+    return [grouped[v] for v in sorted(grouped, key=repr)]
 
 
 def _euler_walk(recs: list[_Rec], counts: list[int]) -> list[int]:
-    """Hierholzer on the multiset {recs[i] with multiplicity counts[i]}.
+    """Hierholzer on the multiset {recs[i] with multiplicity counts[i]}:
+    rec indices in walk order, from the least source under repr, each
+    vertex spending its records in index order. One stack holds the walk
+    in progress as (vertex, record it was entered by) pairs; an entry whose
+    vertex has nothing left to spend is final and is popped onto the walk.
 
-    Precondition: balanced and weakly connected support. Returns rec
-    indices in walk order.
+    Precondition: balanced support. Raises WalkError if the support is not
+    connected, when the walk spends fewer records than counts holds.
     """
-    remaining = list(counts)
-    adj: dict[Vertex, list[int]] = {}
-    for i, (src, _, _, _) in enumerate(recs):
-        if remaining[i] > 0:
-            adj.setdefault(src, []).append(i)
-    ptr = {v: 0 for v in adj}
-    start = min(adj, key=repr)
-    vstack = [start]
-    estack: list[int] = []
+    spend: dict[Vertex, list[int]] = {}
+    for i in reversed(range(len(recs))):
+        if counts[i]:
+            spend.setdefault(recs[i][0], []).extend([i] * counts[i])
+    stack = [(min(spend, key=repr), None)]
     walk: list[int] = []
-    while vstack:
-        v = vstack[-1]
-        lst = adj.get(v, ())
-        i = ptr.get(v, 0)
-        while i < len(lst) and remaining[lst[i]] == 0:
-            i += 1
-        ptr[v] = i
-        if i < len(lst):
-            ei = lst[i]
-            remaining[ei] -= 1
-            vstack.append(recs[ei][1])
-            estack.append(ei)
+    while stack:
+        left = spend.get(stack[-1][0])
+        if left:
+            i = left.pop()
+            stack.append((recs[i][1], i))
         else:
-            vstack.pop()
-            if estack:
-                walk.append(estack.pop())
-    if any(remaining):
+            walk.append(stack.pop()[1])
+    walk.pop()
+    if len(walk) < sum(counts):
         raise WalkError("circulation support is not connected")
     walk.reverse()
     return walk

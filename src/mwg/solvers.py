@@ -27,14 +27,12 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import graphs
-from .errors import DimensionError, InvalidGameError, StrategyError, WalkError
+from .errors import DimensionError, InvalidGameError, StrategyError
 from .graphs import (
     Circuit,
     MultiGraph,
     _follow,
-    circuit_weight,
     negative_cycle_in_dimension,  # noqa: F401 -- still looked up on this module
-    validate_circuit,
 )
 from .model import (
     GameStructure,
@@ -407,7 +405,6 @@ def verify_p2_cover(g: GameStructure, cover: Iterable[tuple[Cube, Lasso]]) -> bo
     credit wins for Player 1."""
     states, options = _choice_space(g, 2)
     position = {s: i for i, s in enumerate(states)}
-    whole = as_multigraph(g)
     p1_edges = {e.id for e in g.edges if g.owner(e.src) == 1}
     cubes = []
     for cube, lasso in cover:
@@ -422,12 +419,9 @@ def verify_p2_cover(g: GameStructure, cover: Iterable[tuple[Cube, Lasso]]) -> bo
             if e.src != at:
                 return False
             at = e.dst
-        circuit = Circuit.from_walk(lasso.cycle)
-        try:
-            validate_circuit(whole, circuit)
-        except WalkError:
-            return False
-        if any(c < 0 for c in circuit_weight(whole, circuit)):
+        # The walk is connected, so the cycle is closed iff it ends where it began.
+        weights = [g.edge_by_id[eid].weight for eid in lasso.cycle]
+        if at != g.edge_by_id[lasso.cycle[0]].src or any(sum(c) < 0 for c in zip(*weights)):
             return False
         cubes.append(tuple(sorted((position[s], options[position[s]].index(e)) for s, e in cube.items())))
     return _first_uncovered([len(o) for o in options], cubes, lambda pick: None) is None

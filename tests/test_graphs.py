@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -60,12 +61,34 @@ def path_graph(*weights):
 
 
 def sccs(g):
-    """Strongly connected components found by the circuit search's Tarjan
-    routine, each sorted, ordered by smallest member."""
-    succ = {v: [] for v in g.vertices}
-    for e in sorted(g.edges, key=lambda e: repr(e.id)):
-        succ[e.src].append(e.dst)
-    return sorted((sorted(c) for c in graphs._tarjan(sorted(g.vertices), succ)), key=lambda c: c[0])
+    """The circuit search's components of g (_rec_sccs over g's edges as
+    records, in id order), each as its sorted vertices, in _rec_sccs
+    order. A component that holds no record is not listed."""
+    recs = [(e.src, e.dst, e.weight, (e.id,)) for e in sorted(g.edges, key=lambda e: repr(e.id))]
+    return [sorted({recs[i][0] for i in comp}) for comp in graphs._rec_sccs(recs)]
+
+
+def mutual_reachability_groups(recs):
+    """_rec_sccs by brute force: the transitive closure of the records,
+    each record grouped under the least vertex (by repr) of the vertices
+    its ends both reach and are reached from, if its ends reach each
+    other."""
+    vs = {v for r in recs for v in r[:2]}
+    reach = {v: {v} for v in vs}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst, _, _ in recs:
+            for v in vs:
+                if src in reach[v] and not reach[dst] <= reach[v]:
+                    reach[v] |= reach[dst]
+                    changed = True
+    label = {v: min([u for u in reach[v] if v in reach[u]], key=repr) for v in vs}
+    grouped = {}
+    for i, (src, dst, _, _) in enumerate(recs):
+        if dst in reach[src] and src in reach[dst]:
+            grouped.setdefault(label[src], []).append(i)
+    return [grouped[v] for v in sorted(grouped, key=repr)]
 
 
 class TestSccs:
@@ -75,15 +98,16 @@ class TestSccs:
     def test_fig1_left_choice(self, fig1):
         p = product_with_strategy(fig1, MemorylessStrategy(2, {"q0": "to_q1"}))
         comps = sccs(p)
-        assert [sorted(s for _, s in comp) for comp in comps] == [["q0"], ["q1"]]
+        # q0 is a component of its own too, but no record lies inside it.
+        assert [sorted(s for _, s in comp) for comp in comps] == [["q1"]]
 
-    def test_dag_singletons(self):
+    def test_dag_has_no_component(self):
         g = MultiGraph(
             1,
             ("a", "b", "c"),
             (GraphEdge("e1", "a", "b", (0,)), GraphEdge("e2", "b", "c", (0,))),
         )
-        assert sccs(g) == [["a"], ["b"], ["c"]]
+        assert sccs(g) == []
 
     def test_order_by_smallest_member(self):
         g = MultiGraph(
@@ -96,6 +120,25 @@ class TestSccs:
             ),
         )
         assert sccs(g) == [["a", "z"], ["m"]]
+
+    def test_matches_mutual_reachability(self):
+        rng = random.Random(29)
+        for _ in range(1500):
+            n = rng.randint(1, 8)
+            names = [[f"v{x}" for x in range(n)], [(x % 3, f"q{x}") for x in range(n)], list(range(n))][rng.randrange(3)]
+            recs = [(rng.choice(names), rng.choice(names), (0,), (i,)) for i in range(rng.randint(0, 14))]
+            assert graphs._rec_sccs(recs) == mutual_reachability_groups(recs)
+
+    def test_long_chain_is_linear(self):
+        # A chain of 3,000 vertices into a self-loop, the sink least under
+        # repr: a search that redoes the chain for each vertex is quadratic.
+        n = 3000
+        vs = tuple(f"v{i:04d}" for i in range(n))
+        edges = [GraphEdge(f"e{i:04d}", vs[i + 1], vs[i], (-1,)) for i in range(n - 1)]
+        g = MultiGraph(1, vs, (*edges, GraphEdge("loop", vs[0], vs[0], (0,))), vs[-1])
+        start = time.perf_counter()
+        assert nonnegative_circuit(g, vs[-1]).edges == ("loop",)
+        assert time.perf_counter() - start < 0.5
 
 
 def _distances(g, source):
@@ -284,6 +327,18 @@ class TestEulerian:
     def test_empty_circulation_rejected(self):
         with pytest.raises(WalkError):
             eulerian_circuit_from_circulation(loops((0,)), {})
+
+    def test_solver_walk_splices_in_index_order(self):
+        # From a, the walk's least source, b spends b->a (record 1) first
+        # and is stuck at a; so b's cycles through c (twice) and d are
+        # spliced in before it, in record order.
+        recs = [(u, v, (0,), (i,)) for i, (u, v) in enumerate(["ab", "ba", "bc", "cb", "bd", "db"])]
+        assert graphs._euler_walk(recs, [1, 1, 2, 2, 1, 1]) == [0, 2, 3, 2, 3, 4, 5, 1]
+
+    def test_solver_walk_rejects_disconnected_support(self):
+        recs = [("a", "a", (0,), ("e1",)), ("b", "b", (0,), ("e2",))]
+        with pytest.raises(WalkError):
+            graphs._euler_walk(recs, [1, 1])
 
 
 class TestNegativeCycle:
