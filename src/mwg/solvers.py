@@ -167,60 +167,94 @@ def _first_uncovered(
     A choice vector picks an option index below sizes[i] at each
     position i; a cube is a tuple of (position, option index) pairs in
     position order and contains every vector that agrees with it there.
-    The walk is depth first and prunes a partial vector as soon as it
+    The walk is depth first and skips a partial vector as soon as it
     contains a cube. At each full vector that no cube contains, `settle`
-    either returns a cube containing it, which is learnt, and the walk
-    jumps back to that cube's deepest position; or returns None, and the
-    walk stops at that vector. None means the cubes contain every vector.
-    Cubes passed in are always indexed; a learnt one only when it can
-    still contain a later vector.
+    either returns a cube containing it, which is learnt, or returns
+    None, and the walk stops at that vector. None means the cubes
+    contain every vector.
+
+    The walk backjumps and learns, as conflict-directed backjumping does
+    in CSP and SAT search. Each position d has a conflict set, emptied
+    when the walk enters d from d - 1: the other positions, all before
+    d, of each cube that excluded an option tried at d. A cube from
+    `settle` counts at its deepest position. When the options at d run
+    out, every vector that agrees with the picks at d's conflict set is
+    contained in a cube; an empty set means every vector is. So the walk
+    jumps to the deepest position j of the set, and on to j's next
+    option. Those picks form the resolved cube, which excludes pick[j]:
+    its positions other than j join j's conflict set, and it is learnt.
+    A cube, given or learnt, is indexed at its deepest position unless
+    it fixes every position up to there, as such a cube contains no
+    vector after this one, which the walk leaves for good. The walk
+    skips only vectors that a cube contains or that extend a pruned
+    prefix, so it settles the same vectors in the same order as a walk
+    that backs up one position at a time, and the vector it returns is
+    the first uncovered one.
 
     With a `prune` hook, each partial vector pick[: d + 1] that no cube
     contains is offered as prune(pick, d) once position d is assigned;
     True skips every vector extending it, as a contained prefix is
-    skipped, and indexes no cube. The hook is called for pick[: d + 1]
-    only after it returned False for pick[:d], so it may keep state per
-    depth.
+    skipped. The hook does not say which picks refute the prefix, so
+    they are taken to be all of pick[:d]: from a pruned option the walk
+    backs up one position at a time, and a cube resolved from a prune
+    fixes every position up to its deepest and is never indexed. The
+    hook is called for pick[: d + 1] only after it returned False for
+    pick[:d], so it may keep state per depth.
     """
     m = len(sizes)
     # Cubes by deepest position and the option there; each entry keeps
-    # the cube's other pairs. A cube is tested only once its deepest
-    # position is assigned, i.e. when it can first be contained.
-    by_last: list[dict[int, list[tuple[tuple[int, int], ...]]]] = [{} for _ in range(m)]
+    # the cube's other pairs and, as a bitmask, their positions. A cube
+    # is tested only once its deepest position is assigned, i.e. when it
+    # can first be contained.
+    by_last: list[dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]]] = [{} for _ in range(m)]
     cubes = list(cubes)
     if not all(cubes):
         return None  # an empty cube contains everything
     for cube in cubes:
-        by_last[cube[-1][0]].setdefault(cube[-1][1], []).append(cube[:-1])
+        by_last[cube[-1][0]].setdefault(cube[-1][1], []).append((_positions(cube[:-1]), cube[:-1]))
     pick = [0] * m
+    conflict = [0] * m  # each position's conflict set, as a bitmask
     d = 0
     while True:
         if d < m:
             rests = by_last[d].get(pick[d])
-            contained = rests and any(all(pick[i] == o for i, o in rest) for rest in rests)
-            if not contained and (prune is None or not prune(pick, d)):
-                d += 1
-                if d < m:
-                    pick[d] = 0
-                continue
+            why = next((bits for bits, rest in rests if all(pick[i] == o for i, o in rest)), None) if rests else None
+            if why is None:
+                if prune is None or not prune(pick, d):
+                    d += 1
+                    if d < m:
+                        pick[d] = conflict[d] = 0
+                    continue
+                why = (1 << d) - 1
+            conflict[d] |= why
         else:
             cube = settle(pick)
             if cube is None:
                 return pick
             if not cube:
                 return None
-            d = cube[-1][0]
-            # A cube fixing every position up to its deepest one contains
-            # no vector after this one, which the walk leaves for good.
-            if len(cube) <= d:
-                by_last[d].setdefault(cube[-1][1], []).append(cube[:-1])
-        # Every vector extending pick[: d + 1] is contained or pruned:
-        # move on to the next partial vector in lexicographic order.
+            d, rest = cube[-1][0], cube[:-1]
+            why = _positions(rest)
+            conflict[d] |= why
+            if len(rest) < d:
+                by_last[d].setdefault(pick[d], []).append((why, rest))
+        # Every vector that agrees with pick[: d + 1] is contained or
+        # pruned. Once d has no option left, jump back to the deepest
+        # position that took part, learning the resolved cube there.
         while pick[d] + 1 == sizes[d]:
-            d -= 1
-            if d < 0:
+            why = conflict[d]
+            if not why:
                 return None
+            d = why.bit_length() - 1
+            why ^= 1 << d
+            conflict[d] |= why
+            if why.bit_count() < d:
+                by_last[d].setdefault(pick[d], []).append((why, tuple([(i, pick[i]) for i in range(d) if why >> i & 1])))
         pick[d] += 1
+
+
+def _positions(pairs: Sequence[tuple[int, int]]) -> int:
+    return sum([1 << i for i, _ in pairs])
 
 
 def solve_unknown_credit(g: GameStructure) -> Verdict:
@@ -237,14 +271,20 @@ def solve_unknown_credit(g: GameStructure) -> Verdict:
     entered by a stem shortest in hops from the initial state, is a
     lasso that depends on Player 2's choices only at the Player-2 states
     it leaves from: every strategy that agrees there (the cube) contains
-    it. So one circuit settles the whole cube, and the search jumps back
-    past it and skips every partial strategy a learnt cube contains. On
-    the 3SAT encodings a cube is typically two clauses picking clashing
-    literals, so the search runs like DPLL on the formula instead of
-    through all 3^clauses strategies (unsat8.cnf: 28 fixed graphs, 3
-    circuit searches). Skipped strategies all contain a witness, and a
-    spoiler is returned only once a search found no circuit, so it is
-    the first in enumeration order.
+    it. So one circuit settles the whole cube, and the search skips
+    every partial strategy a learnt cube contains. It backjumps and
+    learns: once the cubes exclude every pick at a Player-2 state, it
+    jumps back to the deepest earlier state whose pick took part, and
+    learns the cube they resolve to (see `_first_uncovered`). On the
+    3SAT encodings a cube is typically two clauses picking clashing
+    literals, so the search runs like DPLL with conflict-directed
+    backjumping on the formula instead of through all 3^clauses
+    strategies (unsat8.cnf: 28 fixed graphs, 3 circuit searches; random
+    3-CNFs at about 4.26 clauses per variable: mostly under 0.2 s up to
+    16 variables, at most a few seconds). Skipped
+    strategies all contain a witness, and a spoiler is returned only
+    once a search found no circuit, so it is the first in enumeration
+    order.
     """
     _require_valid(g)
     return _unknown_credit(g)

@@ -1,6 +1,8 @@
 import collections
 import itertools
 import random
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -339,6 +341,28 @@ def count_circuit_searches(g, monkeypatch):
     return v, len(settled), len(searched)
 
 
+def random_3cnf(rng, variables, clauses):
+    """Clauses of three literals drawn uniformly, as rand_cnf draws them."""
+    return CnfFormula(variables, tuple(
+        tuple(rng.randint(1, variables) * rng.choice((1, -1)) for _ in range(3)) for _ in range(clauses)
+    ))
+
+
+def assert_3sat_verdict(f):
+    """The two-player encoding of f answers Yes iff f is unsatisfiable,
+    a Yes cover passes its checker, and a No spoiler passes its checker
+    and picks literals that agree and satisfy f."""
+    g = encode_3sat_two_player(f)
+    v = solve_unknown_credit(g)
+    if v.answer:
+        assert verify_p2_cover(g, v.cover)
+    else:
+        assert verify_p2_spoiler(g, v.spoiler)
+        decoded = decode_3sat_spoiler(f, v.spoiler)
+        assert not decoded.conflicting and f.satisfied_by(decoded.values)
+    return v.answer
+
+
 class TestCubeSearch:
     """The search contracts single-edge Player-1 chains once per solve,
     resolves each strategy's Player-2 picks into hops between Player-1
@@ -419,6 +443,36 @@ class TestCubeSearch:
         v = solve_unknown_credit(g)
         assert supports and max(walks) < 10**4
         assert not v.answer and verify_p2_spoiler(g, v.spoiler)
+
+    def test_random_3sat_past_toy_sizes(self):
+        # At 7 variables and 30 clauses, and at 8 and 34, a walk that
+        # backs up one position at a time ran past 5 s on most formulas.
+        elapsed, answers = 0.0, []
+        for variables, clauses in ((7, 30), (8, 34)):
+            rng = random.Random(variables)
+            for _ in range(6):
+                f = random_3cnf(rng, variables, clauses)
+                start = time.perf_counter()
+                answers.append(assert_3sat_verdict(f))
+                elapsed += time.perf_counter() - start
+                assert answers[-1] == (truth_table_satisfiable(f) is None)
+        assert elapsed < 2, f"{elapsed:.2f}s"
+        assert 0 < sum(answers) < len(answers)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("variables", [10, 12, 14, 16])
+    def test_random_3sat_at_the_threshold_ratio(self, variables):
+        # Clauses per variable 4.26, where random formulas are hardest.
+        # Each formula has a budget of 5 s; none takes 1 s, and without
+        # learning resolved cubes one at 12 variables takes 16 s.
+        rng = random.Random(variables)
+        for _ in range(6):
+            f = random_3cnf(rng, variables, round(4.26 * variables))
+            start = time.perf_counter()
+            answer = assert_3sat_verdict(f)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 5, f"{elapsed:.2f}s"
+            assert answer == (truth_table_satisfiable(f) is None)
 
     @pytest.mark.slow
     def test_spanning_supports_walk_short_circuits(self):
@@ -892,7 +946,7 @@ class TestMemorylessNogoods:
 
     def test_unsat_formula_settles_far_fewer_than_all(self, monkeypatch):
         rng = random.Random(3)
-        f = CnfFormula(12, tuple(tuple(rng.randint(1, 12) * rng.choice((1, -1)) for _ in range(3)) for _ in range(70)))
+        f = random_3cnf(rng, 12, 70)
         assert truth_table_satisfiable(f) is None
         v, settled, offered = count_search(encode_3sat_memoryless(f), monkeypatch)
         assert not v.answer
@@ -913,6 +967,147 @@ class TestMemorylessNogoods:
         assert v.strategy.choice == {"a": "a1", "b": "b1"}
         assert outside == 0 and inside == g.dimension
         assert assert_first_p1_winner(g)
+
+
+def chronological_walk(sizes, cubes, settle, prune=None):
+    """Reference for _first_uncovered: every vector in product order,
+    skipping those that a cube given or learnt so far contains and those
+    that extend a pruned prefix. Each prefix is tested as a walk that
+    backs up one position at a time tests it: against the cubes whose
+    deepest position it assigns, then offered to prune, until one test
+    fails. Returns the first vector settle accepts, or None."""
+    learnt, pruned = list(cubes), {}
+    if not all(learnt):
+        return None
+    for v in itertools.product(*map(range, sizes)):
+        for d in range(len(v)):
+            if any(c[-1][0] == d and all(v[i] == o for i, o in c) for c in learnt):
+                break
+            if prune is not None:
+                p = v[: d + 1]
+                if p not in pruned:
+                    pruned[p] = prune(list(v), d)
+                if pruned[p]:
+                    break
+        else:
+            cube = settle(list(v))
+            if cube is None:
+                return list(v)
+            if not cube:
+                return None
+            learnt.append(cube)
+    return None
+
+
+def random_walk_case(rng, tag):
+    """Sizes, given cubes, and settle and prune hooks that answer each
+    vector and prefix the same way on every call: settle with a random
+    sub-cube of the pick, now and then with None or the empty cube;
+    prune, in half the cases, True on a few random prefixes."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+
+    def sub_cube(r, v):
+        cube = tuple([(i, o) for i, o in enumerate(v) if r.random() < 0.5])
+        if cube or r.random() < 0.05:
+            return cube
+        i = r.randrange(len(v))
+        return ((i, v[i]),)
+
+    cubes = [sub_cube(rng, [rng.randrange(n) for n in sizes]) for _ in range(rng.randint(0, 3))]
+
+    def settle(pick):
+        r = random.Random(f"{tag} {pick}")
+        return None if r.random() < 0.02 else sub_cube(r, pick)
+
+    refuted = {tuple([rng.randrange(n) for n in sizes[: rng.randint(1, len(sizes))]]) for _ in range(rng.randint(1, 4))}
+    prune = (lambda pick, d: tuple(pick[: d + 1]) in refuted) if rng.random() < 0.5 else None
+    return sizes, cubes, settle, prune
+
+
+class TestBackjump:
+    """The walk jumps back to the deepest position whose pick took part
+    in excluding every option, and learns the cube that the excluding
+    cubes resolve to."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_a_chronological_walk(self, seed):
+        # Same vector returned, same vectors settled in the same order.
+        # The prefixes offered to prune are those the chronological
+        # walk offers, less some whose every vector a cube contains.
+        rng = random.Random(seed)
+        fewer = 0
+        for case in range(600):
+            sizes, cubes, settle, prune = random_walk_case(rng, (seed, case))
+            runs = []
+            for walk in (chronological_walk, _first_uncovered):
+                settled, offered = [], []
+                counted = None if prune is None else lambda pick, d: offered.append(tuple(pick[: d + 1])) or prune(pick, d)
+                first = walk(sizes, cubes, lambda pick: settled.append(tuple(pick)) or settle(pick), counted)
+                runs.append((first, settled, offered))
+            (expected, ref_settled, ref_offered), (first, settled, offered) = runs
+            assert first == expected and settled == ref_settled
+            later = iter(ref_offered)
+            assert all(p in later for p in offered)
+            if prune is not None:
+                reached = settled + ([tuple(first)] if first is not None else [])
+                assert {v[: d + 1] for v in reached for d in range(len(v))} <= set(offered)
+            fewer += len(offered) < len(ref_offered)
+        assert fewer > 50
+
+    def test_jumps_past_positions_no_cube_fixes(self):
+        # Both options at position 29 are excluded by cubes that fix only
+        # position 0 besides, so the walk jumps from 29 straight to 0: it
+        # offers positions 0 to 28 of [0, ...], then 0 to 29 of [1, 0, ...].
+        # Backing up one position at a time offers about 2^28 prefixes,
+        # and 87 if it learns each resolved cube on the way.
+        offered = []
+        cubes = [((0, 0), (29, 0)), ((0, 0), (29, 1))]
+        first = _first_uncovered([2] * 30, cubes, lambda pick: None, lambda pick, d: offered.append(d) or False)
+        assert first == [1] + [0] * 29
+        assert offered == list(range(29)) + list(range(30))
+
+    def test_jumps_to_the_deepest_position_that_took_part(self):
+        # At position 2 option 0 is excluded by a cube that fixes position
+        # 0 besides, option 1 by one that fixes position 1. The walk jumps
+        # to 1, where option 1 is uncovered; a jump to 0 would skip
+        # [0, 1, 1].
+        cubes = [((0, 0), (2, 0)), ((1, 0), (2, 1))]
+        assert _first_uncovered([2, 2, 2], cubes, lambda pick: None) == [0, 1, 1]
+
+    def test_a_learnt_cube_is_reused(self):
+        # Option 0 at position 1 is excluded by cubes that fix position 29
+        # besides; option 1 there by a cube for each option at position 0
+        # but the last. The walk resolves the unit cube ((1, 0),) once,
+        # then refutes each later option at 0 at position 1, so it offers
+        # position 0 alone for options 1 to 48: 107 offers, against 1,479
+        # if it went down to position 29 each time.
+        offered = []
+        cubes = [((1, 0), (29, 0)), ((1, 0), (29, 1))] + [((0, o), (1, 1)) for o in range(49)]
+        first = _first_uncovered([50] + [2] * 29, cubes, lambda pick: None, lambda pick, d: offered.append(d) or False)
+        assert first == [49, 1] + [0] * 28
+        assert offered == list(range(29)) + [0] * 48 + list(range(30))
+
+    @pytest.mark.parametrize("full_cubes", [True, False])
+    def test_cubes_fixing_every_position_are_not_kept(self, full_cubes):
+        # A cube that fixes every position up to its deepest contains no
+        # vector the walk reaches later. Settled cubes that fix every
+        # position are of that kind, and so are cubes resolved from
+        # prunes: over 2^12 vectors the walk keeps none of them.
+        sizes = [2] * 12
+        if full_cubes:
+            settle, prune = (lambda pick: tuple(enumerate(pick))), None
+        else:
+            settle, prune = (lambda pick: None), (lambda pick, d: d == len(sizes) - 1)
+        # A first run fills the interpreter's free lists, which the
+        # traced run then draws on.
+        assert _first_uncovered(sizes, (), settle, prune) is None
+        tracemalloc.start()
+        try:
+            _first_uncovered(sizes, (), settle, prune)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024, peak
 
 
 class TestClampedOracle:
