@@ -296,10 +296,9 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
         point = lp_feasible(sys_)
         if point is None:
             continue
-        counts = integer_scale(point)
         # A circulation's support is a union of cycles: connected iff it is
         # one strongly connected component.
-        if len(_rec_sccs([r for r, x in zip(comp, counts) if x > 0])) > 1:
+        if len(_rec_sccs([r for r, x in zip(comp, point) if x])) > 1:
             point = max_support_solution(sys_, point)
             if 0 in point:
                 stack += _simplify([r for r, x in zip(comp, point) if x > 0])[::-1]
@@ -309,8 +308,7 @@ def _search_circuit(recs: list[_Rec], dimension: int, mode: str) -> list | None:
             point = lp_feasible(system(len(comp), [*sys_.constraints, *units]))
             if point is None:
                 raise AssertionError("no circulation uses every edge of a spanning support")
-            counts = integer_scale(point)
-        walk = _euler_walk(comp, counts)
+        walk = _euler_walk(comp, integer_scale(point))
         return [eid for i in walk for eid in comp[i][3]]
     return None
 

@@ -14,6 +14,7 @@ point. Sized for those systems: tens of variables, not thousands.
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -57,14 +58,29 @@ def _validate(sys_: LinearConstraintSystem) -> None:
             raise LpError(f"constraint entries must be integers: {c.coeffs} {c.relation} {c.rhs}")
 
 
+class _Point(list):
+    """A feasible point that keeps the solved simplex it was read from."""
+
+    __slots__ = ("simplex",)
+
+
 class _Simplex:
     """Phase-1 simplex on an all-integer tableau: it minimizes the sum of
     the artificial variables, which reaches zero exactly when the system
     is feasible. Artificials left basic at the optimum sit at zero.
 
-    Invariant: the true tableau equals T / D for a single positive integer
-    D (the last pivot element); fraction-free pivoting keeps every entry an
-    integer, with divisions exact by Edmonds' minor identity.
+    Pivoting is fraction-free (Bareiss): every entry is a minor of the
+    starting tableau, so each `// D` is exact, D being the last pivot
+    element. A structural basic variable has coefficient exactly D in its
+    row; a row never pivoted keeps its starting basic coefficient times D.
+    z holds D times the reduced costs, and -D times the artificial sum.
+
+    Artificial columns are not stored. Each artificial has only a virtual
+    basis index past every real column, in row order, for the Bland
+    tie-break in _leaving. Phase 1 stops once no structural or surplus
+    column has a negative reduced cost, and that decides it (Farkas): the
+    row duals y then give yA <= 0 on every real column while yb is the
+    artificial sum, so a positive sum leaves no x >= 0 with Ax = b.
     """
 
     def __init__(self, sys_: LinearConstraintSystem):
@@ -96,46 +112,35 @@ class _Simplex:
 
     def _build(self) -> None:
         # Column layout: the structural columns, each variable shifted by
-        # its lower bound, then surpluses, then artificials, then the rhs.
+        # its lower bound, then surpluses, then the rhs.
         n_surplus = sum(1 for _, rel, _ in self.rows if rel == ">=")
-        width = self.n + n_surplus  # non-artificial columns
+        width = self.n + n_surplus
         shifts = [(j, b) for j, b in enumerate(self.lower) if b]
 
         # Scale each row by the denominator of its shifted rhs and flip it
         # to a nonnegative rhs (m < 0). A flipped ">=" row starts with its
         # surplus column basic (each surplus column is nonzero only in its
-        # own row); every other row gets an artificial.
-        built = []
+        # own row); every other row starts with its artificial, and the
+        # cost row, which minimizes the artificial sum, subtracts it.
+        self.T: list[list[int]] = []
+        self.basis: list[int] = []
+        z = [0] * (width + 1)
         surplus = self.n
         for coeffs, rel, rhs in self.rows:
             rhs2 = rhs - sum(coeffs[j] * b for j, b in shifts)
             m = -rhs2.denominator if rhs2 < 0 else rhs2.denominator
-            row = [m * a for a in coeffs]
-            built.append((row, surplus if rel == ">=" else None, m, abs(rhs2.numerator)))
-            surplus += rel == ">="
-        n_art = sum(1 for _, s, m, _ in built if s is None or m > 0)
-        self.total_cols = width + n_art
-        self.T: list[list[int]] = []
-        self.basis: list[int] = []
-        art_rows: list[int] = []
-        for row, s, m, rhs in built:
-            row += [0] * (self.total_cols - self.n)
-            row.append(rhs)
-            if s is not None:
-                row[s] = -m
-            if s is None or m > 0:
-                s = width + len(art_rows)
-                row[s] = 1
-                art_rows.append(len(self.T))
+            row = [m * a for a in coeffs] + [0] * n_surplus + [abs(rhs2.numerator)]
+            basic = width + len(self.T)
+            if rel == ">=":
+                row[surplus] = -m
+                basic = surplus if m < 0 else basic
+                surplus += 1
+            if basic >= width:
+                z = [a - t for a, t in zip(z, row)]
             self.T.append(row)
-            self.basis.append(s)
-        self.D = 1
-
-        # Cost row: minimize the artificial sum.
-        z = [0] * width + [1] * n_art + [0]
-        for i in art_rows:
-            z = [a - t for a, t in zip(z, self.T[i])]
+            self.basis.append(basic)
         self.z = z
+        self.D = 1
 
     # -- pivoting ----------------------------------------------------------
 
@@ -171,13 +176,13 @@ class _Simplex:
                 best = i  # Bland tie-break on the basic variable index
         return best
 
-    def _run(self) -> None:
+    def _run(self) -> _Point | None:
         z = self.z
         while True:
             # Bland: the lowest column index with a negative reduced cost.
-            q = next((j for j in range(self.total_cols) if z[j] < 0), None)
+            q = next((j for j in range(len(z) - 1) if z[j] < 0), None)
             if q is None:
-                return
+                return None if z[-1] else self._point()  # z[-1] = -D * (artificial sum)
             p = self._leaving(q)
             if p is None:
                 raise AssertionError("phase 1 unbounded, yet its objective is bounded below by zero")
@@ -185,8 +190,9 @@ class _Simplex:
 
     # -- extraction ----------------------------------------------------------
 
-    def _point(self) -> list[Fraction]:
-        values = list(self.lower)
+    def _point(self) -> _Point:
+        values = _Point(self.lower)
+        values.simplex = self
         for i, q in enumerate(self.basis):
             if q >= self.n:
                 continue  # a surplus, or an artificial at zero
@@ -195,18 +201,33 @@ class _Simplex:
             values[q] += Fraction(self.T[i][-1], self.T[i][q])
         return values
 
-    def solve(self) -> list[Fraction] | None:
+    def solve(self) -> _Point | None:
         if self.infeasible_early:
             return None
         self._build()
-        self._run()
-        if self.z[-1] != 0:  # -(artificial sum) < 0
-            return None
-        return self._point()
+        return self._run()
+
+    def probe(self, outside: list[int]) -> _Point | None:
+        """Resume phase 1 with sum(x_j where outside[j]) >= 1 added; those
+        x_j are 0 and unshifted. The row is reduced without a division by
+        subtracting the row of each structural basic, whose coefficient is
+        D. Widening builds new lists, so a copy leaves the original as is."""
+        w = len(self.z) - 1  # real columns; the new surplus goes here
+        *self.T, self.z = [[*row[:w], 0, row[w]] for row in (*self.T, self.z)]
+        self.basis = [q + (q >= w) for q in self.basis]  # artificials stay last
+        new = [self.D * a for a in outside] + [0] * (w - self.n) + [-self.D, self.D]
+        for i, q in enumerate(self.basis):
+            if q < self.n and outside[q]:
+                new = [a - b for a, b in zip(new, self.T[i])]
+        self.z = [a - t for a, t in zip(self.z, new)]
+        self.T.append(new)
+        self.basis.append(w + len(self.T))
+        return self._run()
 
 
 def lp_feasible(sys_: LinearConstraintSystem) -> list[Fraction] | None:
-    """An exact feasible point, one value per variable, or None."""
+    """An exact feasible point, one value per variable, or None. The point
+    is a list that also keeps its solved simplex, for max_support_solution."""
     _validate(sys_)
     return _Simplex(sys_).solve()
 
@@ -224,13 +245,16 @@ def max_support_solution(
     support) >= 1 is feasible exactly when some feasible point leaves
     that support. While it is, the midpoint of the current point and the
     new one is feasible (the feasible set is convex) and positive on both
-    supports, so the support grows; at most one solve per variable.
+    supports, so the support grows; at most one probe per variable.
     `point` is `lp_feasible(sys_)`, which the caller already holds; None
-    (infeasible) comes back as it is.
+    (infeasible) comes back as it is. Each probe row is added to a copy
+    of the tableau that solved `point`, and phase 1 resumes there, so
+    `sys_` is not solved again. An earlier probe row stays, implied by
+    the later one: the positions outside the support only shrink.
     """
+    simplex = None if point is None else copy(point.simplex)
     while point is not None and 0 in point:
-        outside = Constraint([int(x == 0) for x in point], ">=", 1)
-        wider = lp_feasible(LinearConstraintSystem(sys_.variables, [*sys_.constraints, outside]))
+        wider = simplex.probe([int(x == 0) for x in point])
         if wider is None:
             break
         point = [(x + y) / 2 for x, y in zip(point, wider)]

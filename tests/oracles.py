@@ -3,7 +3,8 @@
 Everything here is deliberately naive: truth tables, 2^n subset scans,
 DFS cycle enumeration, scalar value iteration, exhaustive enumeration of
 bounded circulations. The point is to share no reasoning with the
-solvers under test, only the public data types.
+solvers under test, only the public data types. The one exception is
+the cold phase-1 simplex, kept to pin the LP's points exactly.
 """
 
 from __future__ import annotations
@@ -105,6 +106,119 @@ def satisfies(sys_, point) -> bool:
         if c.relation == ">=" and lhs < c.rhs:
             return False
     return True
+
+
+class _ColdSimplex:
+    """Phase-1 simplex with a stored column per artificial and Bland's
+    rule, pivoted fraction-free: the one `mwg.lp` ran before it stopped
+    storing artificial columns and started continuing max-support probes
+    on a solved tableau. Unlike the rest of this module it shares its
+    reasoning with the code under test on purpose: it pins the exact
+    point phase 1 reaches, which no independent oracle can."""
+
+    def __init__(self, n: int, rows: list[tuple]):
+        self.n = n
+        self.infeasible_early = False
+        self.lower = [Fraction(0)] * n
+        self.rows = []
+        for coeffs, rel, rhs in rows:
+            nz = [j for j, a in enumerate(coeffs) if a]
+            if not nz:
+                self.infeasible_early |= rhs != 0 if rel == "=" else rhs > 0
+            elif rel == ">=" and len(nz) == 1 and coeffs[nz[0]] > 0:
+                self.lower[nz[0]] = max(self.lower[nz[0]], Fraction(rhs, coeffs[nz[0]]))
+            else:
+                self.rows.append((coeffs, rel, rhs))
+
+    def _build(self) -> None:
+        n_surplus = sum(1 for _, rel, _ in self.rows if rel == ">=")
+        width = self.n + n_surplus
+        shifts = [(j, b) for j, b in enumerate(self.lower) if b]
+        built = []
+        surplus = self.n
+        for coeffs, rel, rhs in self.rows:
+            rhs2 = rhs - sum(coeffs[j] * b for j, b in shifts)
+            m = -rhs2.denominator if rhs2 < 0 else rhs2.denominator
+            built.append(([m * a for a in coeffs], surplus if rel == ">=" else None, m, abs(rhs2.numerator)))
+            surplus += rel == ">="
+        n_art = sum(1 for _, s, m, _ in built if s is None or m > 0)
+        self.total_cols = width + n_art
+        self.T, self.basis, art_rows = [], [], []
+        for row, s, m, rhs in built:
+            row += [0] * (self.total_cols - self.n)
+            row.append(rhs)
+            if s is not None:
+                row[s] = -m
+            if s is None or m > 0:
+                s = width + len(art_rows)
+                row[s] = 1
+                art_rows.append(len(self.T))
+            self.T.append(row)
+            self.basis.append(s)
+        self.D = 1
+        self.z = [0] * width + [1] * n_art + [0]
+        for i in art_rows:
+            self.z = [a - t for a, t in zip(self.z, self.T[i])]
+
+    def _pivot(self, p: int, q: int) -> None:
+        rowp, piv, D = self.T[p], self.T[p][q], self.D
+        for row in (*self.T, self.z):
+            if row is not rowp:
+                f = row[q]
+                row[:] = [(a * piv - f * b) // D for a, b in zip(row, rowp)]
+        self.D = piv
+        self.basis[p] = q
+
+    def _leaving(self, q: int) -> Optional[int]:
+        best = None
+        for i, row in enumerate(self.T):
+            if row[q] <= 0:
+                continue
+            if best is None:
+                best = i
+                continue
+            lhs, rhs = row[-1] * self.T[best][q], self.T[best][-1] * row[q]
+            if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
+                best = i
+        return best
+
+    def solve(self) -> Optional[list[Fraction]]:
+        if self.infeasible_early:
+            return None
+        self._build()
+        while True:
+            q = next((j for j in range(self.total_cols) if self.z[j] < 0), None)
+            if q is None:
+                break
+            self._pivot(self._leaving(q), q)
+        if self.z[-1] != 0:
+            return None
+        values = list(self.lower)
+        for i, q in enumerate(self.basis):
+            if q < self.n:
+                values[q] += Fraction(self.T[i][-1], self.T[i][q])
+        return values
+
+
+def _rows(sys_) -> list[tuple]:
+    return [(list(c.coeffs), c.relation, c.rhs) for c in sys_.constraints]
+
+
+def cold_lp_feasible(sys_) -> Optional[list[Fraction]]:
+    """The point `_ColdSimplex` reaches on a linear system, or None."""
+    return _ColdSimplex(len(sys_.variables), _rows(sys_)).solve()
+
+
+def cold_max_support(sys_, point) -> Optional[list[Fraction]]:
+    """The max-support loop solved from scratch for every probe: the
+    system plus sum(x_j outside the support) >= 1, then the midpoint."""
+    while point is not None and 0 in point:
+        probe = ([int(x == 0) for x in point], ">=", 1)
+        wider = _ColdSimplex(len(point), [*_rows(sys_), probe]).solve()
+        if wider is None:
+            break
+        point = [(x + y) / 2 for x, y in zip(point, wider)]
+    return point
 
 
 def first_p2_spoiler(g: GameStructure) -> Optional[MemorylessStrategy]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwg import LpError
+from mwg import LpError, graphs, lp, solvers
 from mwg.lp import (
     Constraint,
     LinearConstraintSystem,
@@ -19,7 +19,7 @@ from mwg.lp import (
     max_support_solution,
     system,
 )
-from oracles import satisfies
+from oracles import cold_lp_feasible, cold_max_support, rand_dense_game, rand_multigraph, satisfies
 
 
 def plus(sys_, row):
@@ -149,8 +149,60 @@ def test_max_support_point_stays_in_a_capped_set():
 
 
 def test_max_support_propagates_infeasible():
-    sys_ = system(1, [((1,), ">=", 1), ((-1,), ">=", 0)])
-    assert max_support_solution(sys_, lp_feasible(sys_)) is None
+    # Infeasible in phase 1, and refuted before it by a row 0 >= 1.
+    for sys_ in (system(1, [((1,), ">=", 1), ((-1,), ">=", 0)]), system(2, [((0, 0), ">=", 1)])):
+        assert max_support_solution(sys_, lp_feasible(sys_)) is None
+
+
+def probes(monkeypatch) -> list[int]:
+    """Record the tableau width (real columns) at each max-support probe."""
+    widths, real = [], lp._Simplex.probe
+
+    def probe(self, outside):
+        widths.append(len(self.z) - 1)
+        return real(self, outside)
+
+    monkeypatch.setattr(lp._Simplex, "probe", probe)
+    return widths
+
+
+def test_probe_after_an_absorbed_fractional_bound(monkeypatch):
+    # 2*x0 >= 1 becomes the bound x0 >= 1/2, which shifts x0 - x1 - x2 >= 0
+    # to rhs -1/2: that row is scaled by 2 and starts on its surplus with
+    # coefficient 2, not D. The probe runs on that tableau.
+    sys_ = system(3, [((2, 0, 0), ">=", 1), ((1, -1, -1), ">=", 0)])
+    point = lp_feasible(sys_)
+    assert point == cold_lp_feasible(sys_) == [Fraction(1, 2), 0, 0]
+    widths = probes(monkeypatch)
+    wide = max_support_solution(sys_, point)
+    assert support(wide) == support(cold_max_support(sys_, point)) == {0, 1, 2}
+    assert satisfies(sys_, wide) and widths
+
+
+def test_second_probe_lands_on_the_widened_tableau(monkeypatch):
+    # The first probe reaches the vertex (0, 1, 0) of the total-sum cut,
+    # so x2 is still outside and a second probe row goes onto a tableau
+    # that already holds the first one and its surplus column.
+    sys_ = system(3, [((1, 1, 1), ">=", 1)])
+    point = lp_feasible(sys_)
+    assert support(point) == {0}
+    widths = probes(monkeypatch)
+    wide = max_support_solution(sys_, point)
+    assert widths == [4, 5]
+    assert wide == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+    assert support(cold_max_support(sys_, point)) == {0, 1, 2}
+
+
+def test_max_support_leaves_the_callers_point_and_tableau():
+    sys_ = system(3, [((1, 1, 1), ">=", 1), ((1, -1, 0), ">=", 0)])
+    point = lp_feasible(sys_)
+    values, solved = list(point), point.simplex
+    tableau = ([row[:] for row in solved.T], solved.z[:], solved.basis[:], solved.D)
+    first = max_support_solution(sys_, point)
+    assert support(first) == {0, 1, 2}
+    assert point == values and point.simplex is solved
+    assert (solved.T, solved.z, solved.basis, solved.D) == tableau
+    assert max_support_solution(sys_, point) == first
 
 
 def test_integer_scale_halves():
@@ -277,6 +329,54 @@ _entry = st.integers(-4, 4)
 _multiplier = st.integers(1, 9)
 
 
+def assert_matches_cold_reference(sys_, widen: bool = True) -> None:
+    """lp_feasible reaches the point the cold phase-1 reference reaches
+    and, when widen, max_support_solution the same support."""
+    point = lp_feasible(sys_)
+    assert point == cold_lp_feasible(sys_)
+    if widen and point is not None:
+        wide = max_support_solution(sys_, point)
+        assert support(wide) == support(cold_max_support(sys_, point))
+        assert satisfies(sys_, wide)
+
+
+def test_circulation_systems_match_the_cold_reference(monkeypatch):
+    # The circuit search's system, in both modes, on every component of
+    # seeded random multigraphs. Many first points leave positions
+    # outside, so max-support loops of one probe and of several occur.
+    widths = probes(monkeypatch)
+    rng = random.Random(11)
+    per_loop = []
+    for _ in range(300):
+        g = rand_multigraph(rng, max_vertices=6, max_edges=12)
+        for comp in graphs._simplify([(e.src, e.dst, e.weight, (e.id,)) for e in g.edges]):
+            for mode in ("zero", "nonnegative"):
+                before = len(widths)
+                assert_matches_cold_reference(graphs._circulation_system(comp, g.dimension, mode))
+                per_loop.append(len(widths) - before)
+    assert max(per_loop) >= 3 and per_loop.count(1) > 20
+
+
+@pytest.mark.slow
+def test_dense_game_lp_calls_match_the_cold_reference(monkeypatch):
+    # Every LP call the solver makes on 300 seed-7 unplanted dense games,
+    # the corpus where the max-support loop costs the most.
+    calls = []
+    for name in ("lp_feasible", "max_support_solution"):
+        def record(sys_, *rest, name=name, real=getattr(graphs, name)):
+            calls.append((name, sys_))
+            return real(sys_, *rest)
+
+        monkeypatch.setattr(graphs, name, record)
+    rng = random.Random(7)
+    for _ in range(300):
+        solvers.solve_unknown_credit(rand_dense_game(rng))
+    monkeypatch.undo()
+    assert sum(name == "max_support_solution" for name, _ in calls) > 300
+    for name, sys_ in calls:
+        assert_matches_cold_reference(sys_, widen=name == "max_support_solution")
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_scaling_a_row_keeps_the_lp_answers(data):
@@ -300,6 +400,8 @@ def test_scaling_a_row_keeps_the_lp_answers(data):
         c, rel, r = base[i]
         scaled = base[:i] + [([q * a for a in c], rel, q * r)] + base[i + 1 :]
         sys_, sys_q = system(n, base), system(n, scaled)
+        assert_matches_cold_reference(sys_, widen=base is cone)
+        assert_matches_cold_reference(sys_q, widen=base is cone)
         a, b = lp_feasible(sys_), lp_feasible(sys_q)
         assert (a is None) == (b is None)
         if a is not None:
