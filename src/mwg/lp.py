@@ -245,7 +245,8 @@ def max_support_solution(
     support) >= 1 is feasible exactly when some feasible point leaves
     that support. While it is, the midpoint of the current point and the
     new one is feasible (the feasible set is convex) and positive on both
-    supports, so the support grows; at most one probe per variable.
+    supports, so the support grows; at most one probe per variable. A
+    probe point that grows nothing raises LpError rather than loop.
     `point` is `lp_feasible(sys_)`, which the caller already holds; None
     (infeasible) comes back as it is. Each probe row is added to a copy
     of the tableau that solved `point`, and phase 1 resumes there, so
@@ -257,6 +258,8 @@ def max_support_solution(
         wider = simplex.probe([int(x == 0) for x in point])
         if wider is None:
             break
+        if not any([y for x, y in zip(point, wider) if x == 0]):
+            raise LpError("a max-support probe returned a point inside the current support")
         point = [(x + y) / 2 for x, y in zip(point, wider)]
     return point
 

@@ -35,6 +35,7 @@ from .graphs import (
     negative_cycle_in_dimension,  # noqa: F401 -- still looked up on this module
 )
 from .model import (
+    Edge,
     GameStructure,
     Lasso,
     MemorylessStrategy,
@@ -43,8 +44,6 @@ from .model import (
     as_moore,
     check_strategy,
     product_with_strategy,
-    scale_weights,
-    shift_weights,
     validate_game,
 )
 
@@ -53,7 +52,7 @@ from .model import (
 Cube = Mapping[str, str]
 
 
-class CoverWitnesses:
+class Covertuplees:
     """A cover expanded on demand into one (strategy, circuit) pair per
     Player-2 memoryless strategy, in enumeration order; each strategy is
     paired with the circuit of the first cube that contains it.
@@ -112,8 +111,8 @@ class Verdict:
     choices: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     @property
-    def witnesses(self) -> Optional[CoverWitnesses]:
-        return None if self.cover is None else CoverWitnesses(self.choices, self.cover)
+    def witnesses(self) -> Optional[Covertuplees]:
+        return None if self.cover is None else Covertuplees(self.choices, self.cover)
 
 
 @dataclass(frozen=True)
@@ -360,15 +359,16 @@ def _as_fractions(v: Sequence, k: int) -> list[Fraction]:
 
 
 def threshold_shifted(g: GameStructure, v: Sequence) -> GameStructure:
-    """Scale weights to clear the threshold's denominators, then shift so
-    that meeting threshold v in g becomes meeting 0 in the result. Both
-    keep every invariant `validate_game` checks, so the threshold solvers
-    validate g and not the result."""
+    """Scale weights by c, the lcm of the threshold's denominators, and
+    subtract c*v, in one pass over the edges, so that meeting threshold v
+    in g becomes meeting 0 in the result: `shift_weights` after
+    `scale_weights`. That keeps every invariant `validate_game` checks,
+    so the threshold solvers validate g and not the result."""
     vals = _as_fractions(v, g.dimension)
     c = lcm(*[x.denominator for x in vals]) if vals else 1
-    scaled = scale_weights(g, c)
-    shift = tuple([int(c * x) for x in vals])
-    return shift_weights(scaled, shift)
+    shift = [int(c * x) for x in vals]
+    edges = tuple([Edge(e.id, e.src, e.dst, tuple([c * w - y for w, y in zip(e.weight, shift)])) for e in g.edges])
+    return GameStructure(g.dimension, g.states, g.init, edges)
 
 
 def solve_meanpayoff_threshold(g: GameStructure, v: Sequence) -> Verdict:
@@ -491,13 +491,18 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     unit multipliers; on a knapsack chain it is profit minus weight
     taken, plus every positive open profit minus weight, plus bound
     minus target. Each of these directions keeps a witness lasso, a
-    nonnegative cycle and the stem to it, per depth, and is searched
-    again only when a pick cuts its witness, as watched literals are.
-    The search first plays the prefix's picks, then the cut witness's
-    options, then option 0 (at Player-2 states too, whose hops are all
-    kept); at the empty prefix that is the first candidate's play, so a
-    first candidate that wins costs no further search. Else Bellman-Ford
-    looks for a longest path with the exact weights w*(n+1)+1, n the
+    nonnegative cycle and the stem to it, with its cycle's weight, per
+    depth, and is searched again only when a pick cuts its witness, as
+    watched literals are. If the pick's hop leads where the cut one did,
+    the witness is patched: the walk after it is unchanged, so only the
+    weight moves, by the two hops' difference if the pick is on the
+    cycle. Else the search plays the prefix's picks, then the cut
+    witness's options, then option 0 (at Player-2 states too, whose hops
+    are all kept); at the empty prefix that is the first candidate's
+    play, so a first candidate that wins costs no further search. Else
+    Bellman-Ford runs on the prefix's relaxed graph, filtered from a list
+    of every hop reachable from the start that is made once per solve,
+    and looks for a longest path with the exact weights w*(n+1)+1, n the
     reachable nodes: a simple cycle is positive there iff its weight w
     is nonnegative.
 
@@ -505,15 +510,14 @@ def solve_memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     from the initial state meets only Player-1 choices it is
     deterministic, so that graph has one reachable cycle, nonnegative in
     every dimension, and the candidate wins. Play that reaches a Player-2
-    state with several edges is settled by Bellman-Ford on the negated
-    weights of the candidate's hop graph, one dimension at a time. A
-    loser is refuted by a negative cycle plus a shortest stem to it from
-    the start; every candidate that agrees with it at the Player-1
-    positions the stem and cycle leave from (its nogood cube) contains
-    that lasso, as Player-2 nodes keep all their hops and loop nodes have
-    one, so it loses too, and the walk skips them all. Only candidates
-    without a winner are skipped, so the first winner is the one the
-    enumeration reaches first."""
+    state with several edges is settled by Bellman-Ford on that graph's
+    negated weights, one dimension at a time. A loser is refuted by a
+    negative cycle plus a shortest stem to it from the start; every
+    candidate that agrees with it at the Player-1 positions the stem and
+    cycle leave from (its nogood cube) contains that lasso, as Player-2
+    nodes keep all their hops and loop nodes have one, so it loses too,
+    and the walk skips them all. Only candidates without a winner are
+    skipped, so the first winner is the first the enumeration reaches."""
     _require_valid(g)
     return _memoryless_p1_energy(g)
 
@@ -540,7 +544,6 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
     # loop node has one hop, to itself, weighing one turn of the loop.
     hops = [[(node[h[1]], directed(h[2])) for h in hs] for hs in recs + list(loops.values())]
     start = node[start_state]
-    first_loop = len(choice_states)
 
     def settle(pick: list[int]) -> Optional[tuple[tuple[int, int], ...]]:
         # pick passed the relaxed test of the full vector (of the empty
@@ -551,86 +554,103 @@ def _memoryless_p1_energy(g: GameStructure) -> MemorylessVerdict:
         while u < m and u not in seen:
             seen.add(u)
             u = hops[u][pick[u]][0]
-        if u < m or u >= first_loop:
+        if u < m or u >= len(choice_states):
             return None
-        # Player 2 branches: Bellman-Ford on the candidate's hop graph, the
-        # relaxed graph of the full vector, for a cycle negative in some
-        # dimension. Every candidate that agrees with the lasso's options
-        # contains it, so its options are a nogood cube.
-        graph = relaxed_graph(pick, m - 1)
-        _, rank, edges = graph
+        # Player 2 branches: Bellman-Ford on the negated weights of the
+        # candidate's hop graph, the relaxed graph of the full vector, for
+        # a cycle negative in some dimension. Every candidate that agrees
+        # with the lasso's options contains it, so they are a nogood cube.
+        edges = relaxed_hops(pick, m - 1)
         for i in range(k):
-            cycle = graphs._positive_cycle(len(rank), [(rank[u], rank[v], -w[i]) for u, _, v, w in edges])
+            cycle = graphs._positive_cycle(len(rank), [(r, s, -w[i]) for _, _, r, s, w in edges])
             if cycle is not None:
-                return tuple(sorted(lasso_of(cycle, *graph).items()))
+                return tuple(sorted(lasso_of(cycle, edges, relaxed_graph(pick, m - 1))[0].items()))
         return None
 
-    def relaxed(u: int, pick: list[int], d: int) -> Iterable[tuple[int, tuple[int, WeightVector]]]:
-        # (option, hop) pairs out of node u in the relaxed graph of pick[: d + 1].
-        return ((pick[u], hops[u][pick[u]]),) if u <= d else enumerate(hops[u])
+    def relaxed_graph(pick: list[int], d: int) -> dict:
+        # Breadth-first parent hops, as (node, option), of the part of the
+        # relaxed graph of pick[: d + 1] reachable from the start.
+        return graphs.reachable(start, lambda u: [((u, o), hops[u][o][0]) for o in ([pick[u]] if u <= d else range(len(hops[u])))])
 
-    def relaxed_graph(pick: list[int], d: int) -> tuple[dict, dict[int, int], list]:
-        # The part of the relaxed graph of pick[: d + 1] reachable from the
-        # start: breadth-first parent hops as (node, option), each node's
-        # rank in visit order, and its hops as (node, option, next, weight).
-        parent = graphs.reachable(start, lambda u: [((u, o), v) for o, (v, _) in relaxed(u, pick, d)])
-        rank = {v: r for r, v in enumerate(parent)}
-        return parent, rank, [(u, o, v, w) for u in parent for o, (v, w) in relaxed(u, pick, d)]
+    # Every hop reachable from the start, listed on first use as (node,
+    # option, rank, next rank, weight) in breadth-first rank order.
+    rank: dict[int, int] = {}
+    listed: list[tuple[int, int, int, int, WeightVector]] = []
 
-    def lasso_of(cycle: list[int], parent: dict, rank: dict[int, int], edges: list) -> dict[int, int]:
-        # The options a cycle of edges, entered by a shortest stem at its
-        # node nearest the start, takes at Player-1 positions.
-        lasso = [edges[x][:2] for x in cycle]
-        back = parent[min([u for u, _ in lasso], key=rank.__getitem__)]
+    def relaxed_hops(pick: list[int], d: int) -> list[tuple[int, int, int, int, WeightVector]]:
+        # The listed hops of the relaxed graph of pick[: d + 1]; those it
+        # does not reach stay, but Bellman-Ford from rank 0 never relaxes
+        # them, and len(rank) bounds every simple cycle.
+        if not rank:
+            rank.update((v, r) for r, v in enumerate(graphs.reachable(start, lambda u: [(None, v) for v, _ in hops[u]])))
+            listed.extend([(u, o, rank[u], rank[v], w) for u in rank for o, (v, w) in enumerate(hops[u])])
+        return [h for h in listed if h[0] > d or h[1] == pick[h[0]]]
+
+    def lasso_of(cycle: list[int], edges: list, parent: dict) -> tuple:
+        # The lasso a cycle of edges makes, entered by a shortest stem at
+        # its node nearest the start, as play returns it.
+        ring = [edges[x][:2] for x in cycle]
+        lasso, back = list(ring), parent[min([u for u, _ in ring], key=list(parent).index)]
         while back is not None:
             lasso.append(back)
             back = parent[back[0]]
-        return {v: o for v, o in lasso if v < m}
+        weight = [sum(c) for c in zip(*[edges[x][4] for x in cycle])]
+        return {v: o for v, o in lasso if v < m}, {v for v, _ in ring if v < m}, weight
 
-    def play(pick: list[int], d: int, prefer: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+    def play(pick: list[int], d: int, prefer: dict[int, int]) -> tuple:
         # The lasso of the play that takes the prefix's picks, then
         # prefer's options, else option 0: the options it takes at
-        # Player-1 positions, and the weight of its cycle.
+        # Player-1 positions, those on its cycle, and its cycle's weight.
         path, at, u = [], {}, start
         while u not in at:
             at[u] = len(path)
             path.append((u, pick[u] if u <= d else prefer.get(u, 0)))
             u = hops[u][path[-1][1]][0]
-        weight = [sum(c) for c in zip(*[hops[v][o][1] for v, o in path[at[u] :]])]
-        return {v: o for v, o in path if v < m}, weight
+        cycle = path[at[u] :]
+        weight = [sum(c) for c in zip(*[hops[v][o][1] for v, o in cycle])]
+        return {v: o for v, o in path if v < m}, {v for v, _ in cycle if v < m}, weight
 
-    def witnesses(pick: list[int], d: int, old: list[dict[int, int]]) -> Optional[list[dict[int, int]]]:
+    def patch(pick: list[int], d: int, w: tuple) -> tuple:
+        # w with pick[d]'s hop for its own, which leads to the same node:
+        # the weight moves by their difference if d is on the cycle.
+        options, ring, weight = w
+        if d in ring:
+            weight = [a + b - c for a, b, c in zip(weight, hops[d][pick[d]][1], hops[d][options[d]][1])]
+        return {**options, d: pick[d]}, ring, weight
+
+    def witnesses(pick: list[int], d: int, old: list[tuple]) -> Optional[list[tuple]]:
         # Per direction, a lasso of the relaxed graph of pick[: d + 1]
-        # whose cycle is nonnegative there, as the options it takes at
-        # Player-1 positions; None if some direction has none. old holds
-        # the witnesses of pick[:d], and only those pick[d] cuts are
-        # replaced: by the play that keeps to the cut witness where the
-        # prefix allows, else by a search of the relaxed graph.
+        # whose cycle is nonnegative there; None if some direction has
+        # none. old holds the witnesses of pick[:d], and only those pick[d]
+        # cuts are replaced: patched if pick[d]'s hop leads where the cut
+        # one did, else by the play that keeps to the cut witness where
+        # the prefix allows, else by a search of the relaxed graph.
         new, plays, rest = list(old), {}, []
         for i, w in enumerate(old):
-            if d >= 0 and w.get(d, pick[d]) == pick[d]:
+            if d >= 0 and w[0].get(d, pick[d]) == pick[d]:
                 continue
             if id(w) not in plays:
-                plays[id(w)] = play(pick, d, w)
-            lasso, weight = plays[id(w)]
-            if weight[i] >= 0:
+                same = d >= 0 and hops[d][pick[d]][0] == hops[d][w[0][d]][0]
+                plays[id(w)] = patch(pick, d, w) if same else play(pick, d, w[0])
+            lasso = plays[id(w)]
+            if lasso[2][i] >= 0:
                 new[i] = lasso
             else:
                 rest.append(i)
         if not rest:
             return new
-        graph = relaxed_graph(pick, d)
-        _, rank, edges = graph
+        edges, parent = relaxed_hops(pick, d), None
         for i in rest:
-            cycle = graphs._nonnegative_cycle(len(rank), [(rank[u], rank[v], w[i]) for u, _, v, w in edges])
+            cycle = graphs._nonnegative_cycle(len(rank), [(r, s, w[i]) for _, _, r, s, w in edges])
             if cycle is None:
                 return None
-            new[i] = lasso_of(cycle, *graph)
+            parent = parent or relaxed_graph(pick, d)
+            new[i] = lasso_of(cycle, edges, parent)
         return new
 
     # wit[d + 1]: the witnesses of the prefix pick[: d + 1].
-    wit: list[Optional[list[dict[int, int]]]] = [None] * (m + 1)
-    wit[0] = witnesses([], -1, [{}] * (k + (k > 1)))
+    wit: list[Optional[list[tuple]]] = [None] * (m + 1)
+    wit[0] = witnesses([], -1, [({}, set(), [])] * (k + (k > 1)))
     if wit[0] is None:
         return MemorylessVerdict(False)
 

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: truth tables, 2^n subset scans,
 DFS cycle enumeration, scalar value iteration, exhaustive enumeration of
 bounded circulations. The point is to share no reasoning with the
-solvers under test, only the public data types. The one exception is
-the cold phase-1 simplex, kept to pin the LP's points exactly.
+solvers under test, only the public data types. The exceptions are the
+cold phase-1 simplex, kept to pin the LP's points exactly, and the
+witness-free prune of the memoryless search, which runs the solvers'
+Bellman-Ford on graphs it builds itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from mwg import (
     verify_p1_certificate,
     verify_p2_spoiler,
 )
+from mwg import graphs
 
 
 def truth_table_satisfiable(f: CnfFormula) -> Optional[dict[int, bool]]:
@@ -242,6 +245,37 @@ def first_p1_winner(g: GameStructure) -> Optional[tuple[MemorylessStrategy, tupl
         if check.accepted:
             return strategy, check.credit
     return None
+
+
+def relaxed_prune(g: GameStructure) -> Callable[[list[int], int], bool]:
+    """Reference for the memoryless search's prune hook, with no
+    witnesses. Positions are the Player-1 states with more than one edge,
+    by id, and a pick is an index into a state's edges by id. The relaxed
+    graph of pick[: d + 1] keeps only the picked edge at the first d + 1
+    positions and every other edge; prune(pick, d) is True iff its part
+    reachable from the initial state has, in some dimension or (k >= 2)
+    in the sum of all dimensions, no nonnegative cycle. Each call builds
+    that graph and runs `_nonnegative_cycle` in every direction."""
+    positions = [s for s in g.states_of(1) if len(g.out_edges(s)) > 1]
+    k = g.dimension
+
+    def prune(pick: list[int], d: int) -> bool:
+        fixed = {s: g.out_edges(s)[pick[i]].id for i, s in enumerate(positions[: d + 1])}
+        edges = [e for e in g.edges if fixed.get(e.src, e.id) == e.id]
+        rank, todo = {g.init: 0}, [g.init]
+        for u in todo:
+            for e in edges:
+                if e.src == u and e.dst not in rank:
+                    rank[e.dst] = len(rank)
+                    todo.append(e.dst)
+        arcs = [(rank[e.src], rank[e.dst], e.weight) for e in edges if e.src in rank]
+        for i in range(k + (k > 1)):
+            weighed = [(u, v, w[i] if i < k else sum(w)) for u, v, w in arcs]
+            if graphs._nonnegative_cycle(len(rank), weighed) is None:
+                return True
+        return False
+
+    return prune
 
 
 def _connected(edges) -> bool:

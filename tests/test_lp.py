@@ -205,6 +205,17 @@ def test_max_support_leaves_the_callers_point_and_tableau():
     assert max_support_solution(sys_, point) == first
 
 
+def test_a_probe_that_adds_no_position_raises(monkeypatch):
+    # A probe point positive only on the current support would leave the
+    # loop where it was; the loop raises instead of spinning.
+    sys_ = system(3, [((1, 1, 1), ">=", 1)])
+    point = lp_feasible(sys_)
+    assert support(point) == {0}
+    monkeypatch.setattr(lp._Simplex, "probe", lambda self, outside: [Fraction(1 - o) for o in outside])
+    with pytest.raises(LpError, match="support"):
+        max_support_solution(sys_, point)
+
+
 def test_integer_scale_halves():
     scaled = integer_scale([Fraction(1, 2), Fraction(3, 2)])
     assert scaled == [1, 3]

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -27,6 +28,7 @@ from mwg import (
     clamped_fixed_credit_oracle,
     decode_3sat_spoiler,
     decode_knapsack_strategy,
+    decode_memoryless_assignment,
     encode_3sat_memoryless,
     encode_3sat_two_player,
     encode_knapsack,
@@ -34,6 +36,7 @@ from mwg import (
     product_with_strategy,
     scale_weights,
     search_finite_memory_strategy,
+    shift_weights,
     solve_meanpayoff_threshold,
     solve_memoryless_p1_energy,
     solve_memoryless_p1_meanpayoff,
@@ -54,12 +57,14 @@ from oracles import (
     enumerate_p2_memoryless,
     first_p1_winner,
     first_p2_spoiler,
+    knapsack_brute_force,
     least_credit,
     rand_cnf,
     rand_dense_game,
     rand_game,
     rand_knapsack,
     reachable_part,
+    relaxed_prune,
     truth_table_satisfiable,
     value_iteration_energy,
 )
@@ -523,6 +528,15 @@ class TestMeanpayoffThreshold:
         assert scaled.edge_by_id["loopa"].weight == (3, 0)
         assert scaled.edge_by_id["loopb"].weight == (-1, 4)
 
+    def test_threshold_shifted_is_scale_then_shift(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            g = rand_game(rng, max_states=5, max_edges=9)
+            v = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(g.dimension)]
+            c = math.lcm(*[x.denominator for x in v])
+            expected = shift_weights(scale_weights(g, c), tuple([int(c * x) for x in v]))
+            assert threshold_shifted(g, v) == expected
+
 
 class TestSufficientCredit:
     def test_fig2_stay_at_a(self, fig2):
@@ -775,6 +789,44 @@ def solve_without_graph_search(g, monkeypatch):
     return v
 
 
+def prune_answers(g, monkeypatch, reference=None):
+    """solve_memoryless_p1_energy(g) with each prefix its walk offers to
+    the prune and the answer, in order; with a reference hook, that hook
+    answers instead of the solver's own. The list is None if the solver
+    refuted the empty prefix and never started the walk."""
+    answers = None
+    walk = solvers._first_uncovered
+
+    def recording(sizes, cubes, settle, prune):
+        nonlocal answers
+        answers, hook = [], prune if reference is None else reference
+
+        def answered(pick, d):
+            answers.append((tuple(pick[: d + 1]), hook(pick, d)))
+            return answers[-1][1]
+
+        return walk(sizes, cubes, settle, answered)
+
+    monkeypatch.setattr(solvers, "_first_uncovered", recording)
+    v = solve_memoryless_p1_energy(g)
+    monkeypatch.undo()
+    return v, answers
+
+
+def hard_knapsack(rng, items):
+    """Items of weight 10..40 and profit 0..2 above it, capacity half the
+    total weight, and as target the best profit that fits, plus 0 or 1:
+    the first feasible subset lies deep, or there is none."""
+    pairs = tuple([(w + rng.randint(0, 2), w) for w in [rng.randint(10, 40) for _ in range(items)]])
+    bound = sum([w for _, w in pairs]) // 2
+    best = {0: 0}  # weight -> the best profit of a subset of that weight
+    for p, w in pairs:
+        for x, y in list(best.items()):
+            if x + w <= bound and best.get(x + w, -1) < y + p:
+                best[x + w] = y + p
+    return KnapsackInstance(pairs, bound, max(best.values()) + rng.randint(0, 1))
+
+
 class TestMemorylessNogoods:
     @pytest.mark.parametrize("p2_start", [False, True])
     def test_nogood_keeps_the_stem_choice(self, p2_start):
@@ -951,6 +1003,109 @@ class TestMemorylessNogoods:
         v, settled, offered = count_search(encode_3sat_memoryless(f), monkeypatch)
         assert not v.answer
         assert len(settled) + len(offered) < 2**12 // 10
+
+    def test_prune_answers_as_the_witness_free_reference(self, monkeypatch):
+        # The prune keeps witnesses, patches and replays them, and runs
+        # Bellman-Ford on one hop list per solve; the reference builds
+        # each prefix's relaxed graph and searches every direction.
+        # Settle is the same in both runs, so equal answers mean equal
+        # offers: the walk goes the same way.
+        rng = random.Random(30)
+        games = [encode_knapsack(rand_knapsack(rng, max_items=8)) for _ in range(150)]
+        games += [encode_3sat_memoryless(rand_cnf(rng, max_vars=5, max_clauses=14)) for _ in range(100)]
+        while len(games) < 650:
+            g = rand_game(rng, max_states=7, max_edges=14)
+            if any(len(g.out_edges(s)) > 1 for s in g.states_of(2)):
+                games.append(g)
+        pruned = kept = 0
+        for g in games:
+            v, ours = prune_answers(g, monkeypatch)
+            w, theirs = prune_answers(g, monkeypatch, relaxed_prune(g))
+            assert ours == theirs
+            assert (ours is None) == relaxed_prune(g)([], -1)
+            assert (v.answer, v.strategy) == (w.answer, w.strategy)
+            pruned += sum([answer for _, answer in ours or ()])
+            kept += sum([not answer for _, answer in ours or ()])
+        assert pruned > 400 and kept > 1000
+
+    # A witness that pick[d] cuts is patched when pick[d]'s hop leads
+    # where the cut one did, and replayed otherwise. Each game below
+    # gives a wrong verdict or an extra Bellman-Ford run if that goes wrong.
+
+    def test_a_patch_on_the_stem_keeps_the_weight(self, monkeypatch):
+        # s1 and s2 both lead to p, whose Player 2 picks the negative loop
+        # y, so both candidates lose and are settled by Bellman-Ford. The
+        # root's witness, s1 p x, has s on its stem; s2's patch leaves its
+        # weight 0, so the prefix (s2) needs no search. Adding s2 - s1 = -3
+        # would make it search once.
+        g = hop_game("s", [("s", 1), ("p", 2), ("x", 1), ("y", 1)], [
+            ("s1", "s", "p", (0,)), ("s2", "s", "p", (-3,)),
+            ("p1", "p", "x", (0,)), ("p2", "p", "y", (0,)),
+            ("xx", "x", "x", (0,)), ("yy", "y", "y", (-1,)),
+        ])
+        v, inside, outside = count_cycle_searches(g, monkeypatch)
+        assert not v.answer
+        assert inside == 2 and outside == 0
+        assert not assert_first_p1_winner(g)
+
+    def test_a_patch_on_the_cycle_moves_the_weight(self, monkeypatch):
+        # The root searches once and finds the loop b2 behind a1. Picking
+        # b1 at b, on the witness's cycle, patches its weight to -1, and a
+        # second search refutes (a1, b1). A patch that kept the weight
+        # would let (a1, b1) through, and its play would accept it.
+        g = hop_game("a", [("a", 1), ("b", 1)], [
+            ("a1", "a", "b", (-1,)), ("a2", "a", "b", (0,)),
+            ("b1", "b", "b", (-1,)), ("b2", "b", "b", (0,)),
+        ])
+        v, inside, outside = count_cycle_searches(g, monkeypatch)
+        assert v.strategy.choice == {"a": "a1", "b": "b2"}
+        assert inside == 0 and outside == 2
+        assert assert_first_p1_winner(g)
+
+    def test_options_into_different_nodes_replay(self, monkeypatch):
+        # a1 runs into the negative loop b, a2 into the zero loop c. The
+        # root's witness takes a2; a1 cuts it and leads elsewhere, so it
+        # is replayed into b, and a search refutes (a1). A swapped hop
+        # with the walk kept would keep the weight 0 and accept a1.
+        g = hop_game("a", [("a", 1), ("b", 1), ("c", 1)], [
+            ("a1", "a", "b", (0,)), ("a2", "a", "c", (0,)),
+            ("bb", "b", "b", (-1,)), ("cc", "c", "c", (0,)),
+        ])
+        v, inside, outside = count_cycle_searches(g, monkeypatch)
+        assert v.strategy.choice == {"a": "a2", "b": "bb", "c": "cc"}
+        assert inside == 0 and outside == 2
+        assert assert_first_p1_winner(g)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("items", [14, 15, 16])
+    def test_knapsacks_at_scale(self, items):
+        # Each instance has a budget of 0.5 s; none takes 0.03 s, and
+        # with a search for every prefix one takes 0.17 s.
+        rng = random.Random(items)
+        for _ in range(6):
+            inst = hard_knapsack(rng, items)
+            start = time.perf_counter()
+            v = solve_memoryless_p1_energy(encode_knapsack(inst))
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.5, f"{elapsed:.2f}s"
+            assert v.answer == (knapsack_brute_force(inst) is not None)
+            assert not v.answer or inst.feasible(decode_knapsack_strategy(inst, v.strategy))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("variables", [12, 14, 16])
+    def test_memoryless_3sat_at_scale(self, variables):
+        # 4.26 clauses per variable. Each formula has a budget of 1 s;
+        # none takes 0.14 s, and with a search for every prefix two at
+        # 16 variables take 2.1 s.
+        rng = random.Random(variables)
+        for _ in range(6):
+            f = random_3cnf(rng, variables, round(4.26 * variables))
+            start = time.perf_counter()
+            v = solve_memoryless_p1_energy(encode_3sat_memoryless(f))
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1, f"{elapsed:.2f}s"
+            assert v.answer == (truth_table_satisfiable(f) is not None)
+            assert not v.answer or f.satisfied_by(decode_memoryless_assignment(f, v.strategy))
 
     def test_a_first_winner_needs_no_cycle_search(self, monkeypatch):
         # Play from the Player-2 start taking option 0 everywhere is the
