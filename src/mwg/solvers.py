@@ -3,7 +3,7 @@
 Solves the unknown-initial-credit problem (does some nonnegative starting
 credit let Player 1 keep all running sums nonnegative forever?), its
 mean-payoff threshold counterpart for finite-memory strategies, and the
-variants where Player 1 is restricted to memoryless strategies.
+variants where Player 1 has no memory, or bounded memory via a product.
 
 The master procedure rests on two facts. First, if Player 2 can spoil at
 all, a memoryless strategy suffices, so covering Player 2's memoryless
@@ -40,6 +40,7 @@ from .model import (
     Lasso,
     MemorylessStrategy,
     MooreStrategy,
+    State,
     WeightVector,
     as_moore,
     check_strategy,
@@ -52,7 +53,7 @@ from .model import (
 Cube = Mapping[str, str]
 
 
-class Covertuplees:
+class CoverWitnesses:
     """A cover expanded on demand into one (strategy, circuit) pair per
     Player-2 memoryless strategy, in enumeration order; each strategy is
     paired with the circuit of the first cube that contains it.
@@ -111,8 +112,8 @@ class Verdict:
     choices: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     @property
-    def witnesses(self) -> Optional[Covertuplees]:
-        return None if self.cover is None else Covertuplees(self.choices, self.cover)
+    def witnesses(self) -> Optional[CoverWitnesses]:
+        return None if self.cover is None else CoverWitnesses(self.choices, self.cover)
 
 
 @dataclass(frozen=True)
@@ -770,54 +771,46 @@ def _covers(x: Sequence[int], minimal: list[tuple[int, ...]]) -> bool:
     return any(all([a >= b for a, b in zip(x, m)]) for m in minimal)
 
 
-def _canonical_machine(
-    states: list[str], memory: tuple[str, ...], update: dict, action: dict
-) -> tuple:
-    """Signature of a Moore machine under breadth-first relabeling of the
-    reachable memory states (unreachable ones dropped)."""
-    order = graphs.reachable(memory[0], lambda m: [(None, update[(m, s)]) for s in states])
-    rank = {m: i for i, m in enumerate(order)}
-    sig = []
-    for m in order:
-        for s in states:
-            sig.append((rank[update[(m, s)]], action.get((m, s))))
-    return (len(order), tuple(sig))
-
-
 def search_finite_memory_strategy(
     g: GameStructure, max_memory: int
 ) -> Optional[tuple[MooreStrategy, WeightVector]]:
     """Search for a winning finite-memory Player-1 strategy with at most
-    max_memory memory states, by enumeration in a canonical order.
+    max_memory memory states, fewest first.
 
-    Returns the first strategy accepted by verify_p1_certificate together
-    with the least credit it wins from. Exhausting the bound proves nothing (no a priori
-    memory bound is known), so absence is None, not a refusal. Intended
-    for small games; the candidate space grows doubly exponentially.
+    A Moore machine with memory M is a memoryless Player-1 strategy of
+    the product of g with M, decided by the memoryless search. There each
+    (m, s) is a Player-1 state. At Player 1's s, an edge per (m', e) goes
+    to (m', dst e) with e's weight; at Player 2's s, a zero-weight edge
+    per m' goes to a Player-2 state with one edge per e, to (m', dst e).
+    A winner's graph is the machine's product with g, each Player-2 step
+    split in two, so it wins iff the machine does. The machine is read
+    off the first size with a winner, so it reaches all its memory.
+
+    Returns it with the least credit it wins from. Exhausting the bound
+    proves nothing (no a priori memory bound is known), so absence is
+    None, not a refusal.
     """
     _require_valid(g)
     if max_memory < 1:
         raise ValueError("max_memory must be at least 1")
-    state_ids = [s.id for s in g.states]
-    p1_states = list(g.states_of(1))
+    at = {s.id: j for j, s in enumerate(g.states)}
     for size in range(1, max_memory + 1):
         memory = tuple([f"m{i}" for i in range(size)])
-        update_keys = [(m, s) for m in memory for s in state_ids]
-        action_keys = [(m, s) for m in memory for s in p1_states]
-        action_options = [tuple([e.id for e in g.out_edges(s)]) for _, s in action_keys]
-        seen_machines: set[tuple] = set()
-        for upd_combo in product(memory, repeat=len(update_keys)):
-            update = dict(zip(update_keys, upd_combo))
-            for act_combo in product(*action_options):
-                action = dict(zip(action_keys, act_combo))
-                sig = _canonical_machine(state_ids, memory, update, action)
-                if sig[0] < size or sig in seen_machines:
-                    # Reachable part is a smaller machine (covered by an
-                    # earlier size) or a relabeling of one already tried.
-                    continue
-                seen_machines.add(sig)
-                strategy = MooreStrategy(1, memory, memory[0], update, action)
-                result = verify_p1_certificate(g, strategy)
-                if result.accepted:
-                    return strategy, result.credit
+        states, edges, move = [], [], {}
+        for (i, m), (j, s) in product(enumerate(memory), enumerate(g.states)):
+            states.append(State(f"c{i}.{j}", 1))
+            out = g.out_edges(s.id)
+            if s.owner == 2:
+                states.append(State(f"d{i}.{j}", 2))
+                edges += [Edge(f"d{i}.{j}.{x}", f"d{i}.{j}", f"c{i}.{at[e.dst]}", e.weight) for x, e in enumerate(out)]
+            for y, (n, e) in enumerate(product(range(size), out if s.owner == 1 else [None])):
+                dst, w = (f"c{n}.{at[e.dst]}", e.weight) if e else (f"d{n}.{j}", (0,) * g.dimension)
+                edges.append(Edge(f"c{i}.{j}.{y}", f"c{i}.{j}", dst, w))
+                move[edges[-1].id] = ((m, s.id), memory[n], e and e.id)
+        v = _memoryless_p1_energy(GameStructure(g.dimension, tuple(states), f"c0.{at[g.init]}", tuple(edges)))
+        if v.answer:
+            picks = [move[x] for x in v.strategy.choice.values()]
+            update = {key: n for key, n, _ in picks}
+            strategy = MooreStrategy(1, memory, memory[0], update, {key: x for key, _, x in picks if x is not None})
+            return strategy, verify_p1_certificate(g, strategy).credit
     return None

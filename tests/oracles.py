@@ -27,6 +27,7 @@ from mwg import (
     GraphEdge,
     KnapsackInstance,
     MemorylessStrategy,
+    MooreStrategy,
     MultiGraph,
     State,
     WalkError,
@@ -35,6 +36,8 @@ from mwg import (
     verify_p2_spoiler,
 )
 from mwg import graphs
+from mwg.model import WeightVector
+from mwg.solvers import _require_valid
 
 
 def truth_table_satisfiable(f: CnfFormula) -> Optional[dict[int, bool]]:
@@ -244,6 +247,61 @@ def first_p1_winner(g: GameStructure) -> Optional[tuple[MemorylessStrategy, tupl
         check = verify_p1_certificate(g, as_moore(g, strategy))
         if check.accepted:
             return strategy, check.credit
+    return None
+
+
+def _canonical_machine(
+    states: list[str], memory: tuple[str, ...], update: dict, action: dict
+) -> tuple:
+    """Signature of a Moore machine under breadth-first relabeling of the
+    reachable memory states (unreachable ones dropped)."""
+    order = graphs.reachable(memory[0], lambda m: [(None, update[(m, s)]) for s in states])
+    rank = {m: i for i, m in enumerate(order)}
+    sig = []
+    for m in order:
+        for s in states:
+            sig.append((rank[update[(m, s)]], action.get((m, s))))
+    return (len(order), tuple(sig))
+
+
+def first_moore_winner(
+    g: GameStructure, max_memory: int
+) -> Optional[tuple[MooreStrategy, WeightVector]]:
+    """Search for a winning finite-memory Player-1 strategy with at most
+    max_memory memory states, by enumeration in a canonical order: the
+    reference for `search_finite_memory_strategy`, which solves memory
+    products instead.
+
+    Returns the first strategy accepted by verify_p1_certificate together
+    with the least credit it wins from. Exhausting the bound proves nothing (no a priori
+    memory bound is known), so absence is None, not a refusal. Intended
+    for small games; the candidate space grows doubly exponentially.
+    """
+    _require_valid(g)
+    if max_memory < 1:
+        raise ValueError("max_memory must be at least 1")
+    state_ids = [s.id for s in g.states]
+    p1_states = list(g.states_of(1))
+    for size in range(1, max_memory + 1):
+        memory = tuple([f"m{i}" for i in range(size)])
+        update_keys = [(m, s) for m in memory for s in state_ids]
+        action_keys = [(m, s) for m in memory for s in p1_states]
+        action_options = [tuple([e.id for e in g.out_edges(s)]) for _, s in action_keys]
+        seen_machines: set[tuple] = set()
+        for upd_combo in product(memory, repeat=len(update_keys)):
+            update = dict(zip(update_keys, upd_combo))
+            for act_combo in product(*action_options):
+                action = dict(zip(action_keys, act_combo))
+                sig = _canonical_machine(state_ids, memory, update, action)
+                if sig[0] < size or sig in seen_machines:
+                    # Reachable part is a smaller machine (covered by an
+                    # earlier size) or a relabeling of one already tried.
+                    continue
+                seen_machines.add(sig)
+                strategy = MooreStrategy(1, memory, memory[0], update, action)
+                result = verify_p1_certificate(g, strategy)
+                if result.accepted:
+                    return strategy, result.credit
     return None
 
 

@@ -137,6 +137,14 @@ class TestCheck:
         assert lines[0] == "YES"
         assert lines[1] == "credit (3,0)"
 
+    def test_p1_accepts_the_searched_fig1_machine(self, capsys, tmp_path):
+        strategy, credit = solvers.search_finite_memory_strategy(parse_game(fixture_text("fig1.mwg")), 2)
+        cert = tmp_path / "moore.cert"
+        cert.write_text(write_certificate(strategy, credit))
+        code, out, _ = run(capsys, "check", "p1", FIG1, str(cert))
+        assert code == 0
+        assert out.splitlines() == ["YES", "credit (3,0)"]
+
     @pytest.mark.parametrize("declared, verdict", [
         ("(15,15)", "YES"), ("(0,2)", "YES"), ("(0,1)", "NO"), ("(0,0)", "NO"), (None, "YES"),
     ])

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mwg import (
+    CertificateCheck,
     CnfFormula,
     DimensionError,
     Edge,
@@ -24,6 +25,7 @@ from mwg import (
     Verdict,
     as_moore,
     as_multigraph,
+    check_strategy,
     circuit_weight,
     clamped_fixed_credit_oracle,
     decode_3sat_spoiler,
@@ -55,6 +57,7 @@ from oracles import (
     clamped_fixpoint_reference,
     energy_level,
     enumerate_p2_memoryless,
+    first_moore_winner,
     first_p1_winner,
     first_p2_spoiler,
     knapsack_brute_force,
@@ -218,7 +221,8 @@ class TestValidateOnce:
         lambda fig1, fig2: solve_memoryless_p1_energy(fig1),
         lambda fig1, fig2: solve_memoryless_p1_meanpayoff(fig2, (2, Fraction(-1, 3))),
         lambda fig1, fig2: clamped_fixed_credit_oracle(fig1, (1, 1), 3),
-    ], ids=["energy", "mp", "memoryless-energy", "memoryless-mp", "oracle"])
+        lambda fig1, fig2: search_finite_memory_strategy(fig1, 2),
+    ], ids=["energy", "mp", "memoryless-energy", "memoryless-mp", "oracle", "finite-memory"])
     def test_one_validation_per_call(self, solve, fig1, fig2, validations):
         solve(fig1, fig2)
         assert len(validations) == 1
@@ -243,6 +247,9 @@ class TestCover:
         assert len(v.cover) <= 100
         assert len(v.witnesses) == 3**8
         revalidate_witnesses(g, v)
+
+    def test_witnesses_keep_their_class_name(self, fig1):
+        assert type(solve_unknown_credit(fig1).witnesses) is solvers.CoverWitnesses
 
     def test_dropping_the_last_cube_rejected(self, unsat_game):
         # The last cube was learnt at a strategy no earlier cube contains.
@@ -1388,15 +1395,34 @@ class TestClampedOracle:
             assert clamped_fixed_credit_oracle(g, (0, 0), 10**6)
 
 
+def rotation_game(k):
+    """Player 2 at q0 either stops at q1's zero loop for -1 in every
+    dimension, or lets Player 1 at q2 pick one of k returns, each +(k-1)
+    in its own dimension and -1 elsewhere. A winner must take the k
+    returns in turn, so it needs k memory states."""
+    returns = [(f"ret{i}", "q2", "q0", tuple([k - 1 if d == i else -1 for d in range(k)])) for i in range(k)]
+    return hop_game("q0", [("q0", 2), ("q1", 1), ("q2", 1)], [
+        ("to_q1", "q0", "q1", (-1,) * k), ("loop", "q1", "q1", (0,) * k), ("to_q2", "q0", "q2", (0,) * k), *returns,
+    ])
+
+
+def assert_machine(g, found, memory):
+    """A machine the search returned is a checked strategy of g that wins
+    from the credit returned with it and reaches exactly `memory` memory
+    states, the bound it was found at."""
+    strategy, credit = found
+    check_strategy(g, strategy)
+    assert verify_p1_certificate(g, strategy) == CertificateCheck(True, credit)
+    assert len(strategy.memory) == memory
+    assert {m for m, _ in product_with_strategy(g, strategy).vertices} == set(strategy.memory)
+
+
 class TestSearchFiniteMemory:
     def test_fig1_needs_two_memory_states(self, fig1):
         assert search_finite_memory_strategy(fig1, 1) is None
         found = search_finite_memory_strategy(fig1, 2)
         assert found is not None
-        strategy, credit = found
-        res = verify_p1_certificate(fig1, strategy)
-        assert res.accepted
-        assert res.credit == credit
+        assert_machine(fig1, found, 2)
 
     def test_fig2_shifted_memoryless(self, fig2):
         g = threshold_shifted(fig2, (2, 0))
@@ -1408,6 +1434,43 @@ class TestSearchFiniteMemory:
     def test_bad_bound_rejected(self, fig2):
         with pytest.raises(ValueError):
             search_finite_memory_strategy(fig2, 0)
+
+    @pytest.mark.parametrize("seed, games, states", [(31, 40, 4), pytest.param(7, 150, 5, marks=pytest.mark.slow)])
+    def test_matches_the_moore_enumeration(self, seed, games, states):
+        # The enumeration tries every Moore machine up to relabeling; the
+        # search solves memory products. They must agree at every bound,
+        # not on the machine returned.
+        rng = random.Random(seed)
+        for _ in range(games):
+            g = rand_game(rng, max_states=states)
+            least = None
+            for bound in (1, 2):
+                found = search_finite_memory_strategy(g, bound)
+                assert (found is None) == (first_moore_winner(g, bound) is None)
+                if found is not None:
+                    least = least or bound
+                    assert_machine(g, found, least)
+
+    def test_three_returns_need_three_memory_states(self):
+        g = rotation_game(3)
+        assert search_finite_memory_strategy(g, 2) is None
+        found = search_finite_memory_strategy(g, 3)
+        assert found is not None
+        assert_machine(g, found, 3)
+
+    @pytest.mark.slow
+    def test_four_returns_need_four_memory_states(self):
+        # Refuting bound 3 and finding bound 4 each take about 1.2 s on a
+        # 2-CPU machine, where the Moore enumeration took 42 s to refute
+        # bound 3 alone.
+        g = rotation_game(4)
+        start = time.perf_counter()
+        assert search_finite_memory_strategy(g, 3) is None
+        found = search_finite_memory_strategy(g, 4)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10, f"{elapsed:.2f}s"
+        assert found is not None
+        assert_machine(g, found, 4)
 
 
 class TestSpoilerAsymmetry:
